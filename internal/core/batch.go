@@ -39,11 +39,13 @@ type BatchOptions struct {
 	// solver's Config.Workers default (GOMAXPROCS when that is also 0).
 	Workers int
 	// JobWorkers is the per-replica PE worker count (Config.Workers of
-	// the per-job runs). 0 means 1: with many replicas in flight the
-	// batch-level parallelism already saturates the cores, and
-	// single-threaded jobs compose predictably. Results do not depend on
-	// this value — per-job scheduling is invisible (see race_test.go) —
-	// so it is purely a throughput knob.
+	// the per-job runs). 0 means the cores the batch leaves free per
+	// replica: Workers / min(len(seeds), Workers), at least 1. A batch
+	// with as many replicas in flight as Workers runs single-threaded
+	// jobs; a one-replica batch spreads its tile pairs over all Workers.
+	// Either way Workers × JobWorkers bounds the batch's parallelism.
+	// Results do not depend on this value — per-job scheduling is
+	// invisible (see race_test.go) — so it is purely a throughput knob.
 	JobWorkers int
 	// EarlyStop enables the portfolio mode: the first replica whose best
 	// energy reaches the solver's TargetEnergy raises a shared flag and
@@ -82,6 +84,10 @@ type BatchResult struct {
 	SuccessProb float64
 	// Stopped counts replicas cancelled by the portfolio early-stop.
 	Stopped int
+	// JobWorkers is the PE worker count each replica ran with: the
+	// resolved BatchOptions.JobWorkers, or for a tempering ladder the
+	// width of its one shared pool.
+	JobWorkers int
 	// Ops is the sum of the replicas' algorithm-level operation
 	// counters — the work the whole batch put through the datapath.
 	Ops metrics.OpCounts
@@ -160,7 +166,7 @@ func (s *Solver) RunBatchCtx(ctx context.Context, seeds []int64, opts BatchOptio
 	}
 	jobWorkers := opts.JobWorkers
 	if jobWorkers == 0 {
-		jobWorkers = 1
+		jobWorkers = defaultJobWorkers(workers, len(seeds))
 	}
 	runner, err := s.WithRuntime(func(c *Config) { c.Workers = jobWorkers })
 	if err != nil {
@@ -201,7 +207,17 @@ func (s *Solver) RunBatchCtx(ctx context.Context, seeds []int64, opts BatchOptio
 			return nil, err
 		}
 	}
-	return aggregate(results), nil
+	b := aggregate(results)
+	b.JobWorkers = jobWorkers
+	return b, nil
+}
+
+// defaultJobWorkers is the per-replica PE pool width when the caller
+// sets none: the batch's worker slots divided among the replicas that
+// can be in flight at once, so the replicas of a small batch fill the
+// cores a one-goroutine-per-replica schedule would leave idle.
+func defaultJobWorkers(workers, replicas int) int {
+	return max(1, workers/min(replicas, workers))
 }
 
 // cancelledResult builds the Result for a replica the portfolio stop

@@ -48,6 +48,38 @@ func TestSeedRange(t *testing.T) {
 	}
 }
 
+// TestBatchJobWorkersDefault pins the per-replica PE width a batch
+// picks when BatchOptions.JobWorkers is 0 — the batch's worker slots
+// divided among the replicas in flight — and that an explicit width
+// wins. BatchResult.JobWorkers reports the width the replicas ran with.
+func TestBatchJobWorkersDefault(t *testing.T) {
+	s, err := NewSolver(raceProblem(t), quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		workers, seeds, jobWorkers int
+		want                       int
+	}{
+		{workers: 2, seeds: 1, want: 2},
+		{workers: 2, seeds: 4, want: 1},
+		{workers: 8, seeds: 3, want: 2},
+		{workers: 1, seeds: 1, want: 1},
+		{workers: 2, seeds: 1, jobWorkers: 1, want: 1},
+		{workers: 2, seeds: 4, jobWorkers: 3, want: 3},
+	}
+	for _, c := range cases {
+		b, err := s.RunBatch(mustSeedRange(1, c.seeds), BatchOptions{Workers: c.workers, JobWorkers: c.jobWorkers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.JobWorkers != c.want {
+			t.Errorf("RunBatch(%d seeds, Workers %d, JobWorkers %d) ran width %d, want %d",
+				c.seeds, c.workers, c.jobWorkers, b.JobWorkers, c.want)
+		}
+	}
+}
+
 // TestSeedRangeOverflow pins the explicit error where the old SeedRange
 // silently wrapped past MaxInt64 into the negative seed space,
 // duplicating replica streams.

@@ -174,7 +174,7 @@ func newJobRun(rc *runContext, seed int64) (*jobRun, error) {
 	// batched job.
 	j.states = make([]*pairState, nPairs)
 	for i := range j.states {
-		j.states[i] = newPairState(t, seedStream(seed, rolePair, i))
+		j.states[i] = newPairState(t, seedStream(seed, rolePair, i), rc.pairs[i].IsDiagonal(), j.useDelta)
 	}
 
 	n := rc.model.N()

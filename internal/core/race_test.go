@@ -131,6 +131,25 @@ func TestBatchSchedulingIsInvisible(t *testing.T) {
 			requireIdentical(t, "RunBatch replica vs serial Run", batch.Results[j], refs[j])
 		}
 	}
+	requireSingleSeedBatchIdentical(t, s, seeds[0], refs[0])
+}
+
+// requireSingleSeedBatchIdentical checks RunBatch([seed]) ≡ Run(seed)
+// under the default per-replica width, both when the batch inherits the
+// solver's worker count and when Workers: 2 lets the lone replica spread
+// its tile pairs over two PE workers.
+func requireSingleSeedBatchIdentical(t *testing.T, s *Solver, seed int64, ref *Result) {
+	t.Helper()
+	for _, opts := range []BatchOptions{{}, {Workers: 2}} {
+		batch, err := s.RunBatch([]int64{seed}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opts.Workers == 2 && batch.JobWorkers != 2 {
+			t.Fatalf("one replica on 2 batch workers ran %d PE workers, want 2", batch.JobWorkers)
+		}
+		requireIdentical(t, "single-seed RunBatch vs Run", batch.Results[0], ref)
+	}
 }
 
 // TestBatchSchedulingIsInvisibleOnDevice is the same contract on the
@@ -171,6 +190,7 @@ func TestBatchSchedulingIsInvisibleOnDevice(t *testing.T) {
 			requireIdentical(t, "device RunBatch replica vs serial Run", batch.Results[j], refs[j])
 		}
 	}
+	requireSingleSeedBatchIdentical(t, s, seeds[0], refs[0])
 }
 
 // TestConcurrentDeviceRuns hammers plain Run on one shared device-model

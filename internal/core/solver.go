@@ -258,7 +258,8 @@ type Result struct {
 
 // pairState is the per-PE SRAM buffer set of one symmetric tile pair
 // (Section III-A1): local copies of the two spin blocks, the two offset
-// vectors, and scratch for partial sums.
+// vectors, and scratch for partial sums. A pair holds only the buffers
+// its datapath touches (see newPairState).
 type pairState struct {
 	xRow, xCol     []float64
 	offRow, offCol []float64
@@ -276,23 +277,38 @@ type pairState struct {
 	rowSigns, colSigns []float64
 }
 
-func newPairState(t int, seed int64) *pairState {
-	return &pairState{
-		xRow:     make([]float64, t),
-		xCol:     make([]float64, t),
-		offRow:   make([]float64, t),
-		offCol:   make([]float64, t),
-		pRowCol:  make([]float64, t),
-		pColRow:  make([]float64, t),
-		y:        make([]float64, t),
-		rng:      rand.New(rand.NewSource(seed)),
-		yRow:     make([]float64, t),
-		yCol:     make([]float64, t),
-		rowFlips: make([]int, 0, t),
-		colFlips: make([]int, 0, t),
-		rowSigns: make([]float64, 0, t),
-		colSigns: make([]float64, 0, t),
+// newPairState allocates the buffers one pair's PE uses on its
+// datapath: y on the reference path, the accumulators and flip/sign
+// buffers on the delta path, and the column-side buffers only for an
+// off-diagonal pair (a diagonal tile loops on its row block alone).
+// Live PE scratch is the bulk of a large tiled job's heap during its
+// solve, so buffers a pair never touches are left nil.
+func newPairState(t int, seed int64, diagonal, delta bool) *pairState {
+	st := &pairState{
+		xRow:    make([]float64, t),
+		offRow:  make([]float64, t),
+		pRowCol: make([]float64, t),
+		rng:     rand.New(rand.NewSource(seed)),
 	}
+	if delta {
+		st.yRow = make([]float64, t)
+		st.rowFlips = make([]int, 0, t)
+		st.rowSigns = make([]float64, 0, t)
+	} else {
+		st.y = make([]float64, t)
+	}
+	if diagonal {
+		return st
+	}
+	st.xCol = make([]float64, t)
+	st.offCol = make([]float64, t)
+	st.pColRow = make([]float64, t)
+	if delta {
+		st.yCol = make([]float64, t)
+		st.colFlips = make([]int, 0, t)
+		st.colSigns = make([]float64, 0, t)
+	}
+	return st
 }
 
 // runContext is the per-job view of a Solver: the shared preprocessed

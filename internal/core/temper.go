@@ -298,5 +298,6 @@ loop:
 		stats.ExchangeRate = float64(stats.Accepted) / float64(stats.Attempted)
 	}
 	b.Tempering = stats
+	b.JobWorkers = workers
 	return b, nil
 }

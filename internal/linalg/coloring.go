@@ -22,7 +22,7 @@ func (c *CSR) GreedyColoring() [][]int {
 	var classes [][]int
 	for v := 0; v < c.n; v++ {
 		for k := c.rowPtr[v]; k < c.rowPtr[v+1]; k++ {
-			u := c.colIdx[k]
+			u := int(c.colIdx[k])
 			if u == v {
 				continue // diagonal entries are not adjacency
 			}

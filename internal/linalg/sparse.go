@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -41,12 +42,27 @@ func AsOperator(m *Matrix) (Operator, error) {
 // terms in the same index order. Symmetric constructions (NewCSRSym)
 // store both triangles so Apply is a plain row scan; NewCSRGeneral
 // builds arbitrary square blocks (the tiling layer's off-diagonal
-// tiles).
+// tiles). Row pointers and column indices are int32: a tiled solver
+// keeps one CSR per tile direction, most of them nearly empty, so the
+// row pointers dominate its footprint. The builders reject an order or
+// non-zero count that int32 cannot index (checkCSRSize).
 type CSR struct {
 	n      int
-	rowPtr []int
-	colIdx []int
+	rowPtr []int32
+	colIdx []int32
 	vals   []float64
+}
+
+// checkCSRSize rejects a CSR whose order or non-zero count would not
+// fit the int32 index arrays, rather than letting the indices wrap.
+func checkCSRSize(n, nnz int) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("linalg: CSR order %d exceeds the int32 index limit %d", n, math.MaxInt32)
+	}
+	if nnz > math.MaxInt32 {
+		return fmt.Errorf("linalg: CSR with %d non-zeros exceeds the int32 index limit %d", nnz, math.MaxInt32)
+	}
+	return nil
 }
 
 // Entry is one (row, col, value) coordinate for CSR construction.
@@ -69,6 +85,9 @@ func NewCSRSym(n int, entries []Entry) (*CSR, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("linalg: negative CSR order %d", n)
 	}
+	if err := checkCSRSize(n, 0); err != nil {
+		return nil, err
+	}
 	all := make([]Entry, 0, 2*len(entries))
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= n || e.Col < 0 || e.Col >= n {
@@ -79,7 +98,7 @@ func NewCSRSym(n int, entries []Entry) (*CSR, error) {
 			all = append(all, Entry{Row: e.Col, Col: e.Row, Val: e.Val})
 		}
 	}
-	return buildCSR(n, all), nil
+	return buildCSR(n, all)
 }
 
 // NewCSRGeneral builds a square CSR matrix of order n from coordinate
@@ -91,20 +110,25 @@ func NewCSRGeneral(n int, entries []Entry) (*CSR, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("linalg: negative CSR order %d", n)
 	}
+	if err := checkCSRSize(n, 0); err != nil {
+		return nil, err
+	}
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= n || e.Col < 0 || e.Col >= n {
 			return nil, fmt.Errorf("linalg: CSR entry (%d,%d) out of range for order %d", e.Row, e.Col, n)
 		}
 	}
-	return buildCSR(n, append([]Entry(nil), entries...)), nil
+	return buildCSR(n, append([]Entry(nil), entries...))
 }
 
 // buildCSR assembles a CSR from validated entries: stable-sort by
 // (row, col), sum adjacent duplicates (stability keeps the summation in
 // input order, so duplicate handling rounds exactly as the old
 // map-accumulator build did), drop zero sums. It takes ownership of
-// entries and reorders it.
-func buildCSR(n int, entries []Entry) *CSR {
+// entries and reorders it. n must already have passed checkCSRSize; the
+// merged non-zero count is checked before the row counts are summed
+// into int32 pointers.
+func buildCSR(n int, entries []Entry) (*CSR, error) {
 	sort.SliceStable(entries, func(i, j int) bool {
 		if entries[i].Row != entries[j].Row {
 			return entries[i].Row < entries[j].Row
@@ -113,8 +137,8 @@ func buildCSR(n int, entries []Entry) *CSR {
 	})
 	m := &CSR{
 		n:      n,
-		rowPtr: make([]int, n+1),
-		colIdx: make([]int, 0, len(entries)),
+		rowPtr: make([]int32, n+1),
+		colIdx: make([]int32, 0, len(entries)),
 		vals:   make([]float64, 0, len(entries)),
 	}
 	for k := 0; k < len(entries); {
@@ -127,14 +151,17 @@ func buildCSR(n int, entries []Entry) *CSR {
 		if v == 0 {
 			continue
 		}
-		m.colIdx = append(m.colIdx, c)
+		m.colIdx = append(m.colIdx, int32(c))
 		m.vals = append(m.vals, v)
 		m.rowPtr[r+1]++
+	}
+	if err := checkCSRSize(n, len(m.vals)); err != nil {
+		return nil, err
 	}
 	for r := 0; r < n; r++ {
 		m.rowPtr[r+1] += m.rowPtr[r]
 	}
-	return m
+	return m, nil
 }
 
 // NewCSRFromDense converts a symmetric dense matrix to CSR.
@@ -177,8 +204,8 @@ func (c *CSR) Density() float64 {
 func (c *CSR) Transpose() *CSR {
 	t := &CSR{
 		n:      c.n,
-		rowPtr: make([]int, c.n+1),
-		colIdx: make([]int, len(c.colIdx)),
+		rowPtr: make([]int32, c.n+1),
+		colIdx: make([]int32, len(c.colIdx)),
 		vals:   make([]float64, len(c.vals)),
 	}
 	for _, j := range c.colIdx {
@@ -187,13 +214,13 @@ func (c *CSR) Transpose() *CSR {
 	for r := 0; r < c.n; r++ {
 		t.rowPtr[r+1] += t.rowPtr[r]
 	}
-	next := append([]int(nil), t.rowPtr[:c.n]...)
+	next := append([]int32(nil), t.rowPtr[:c.n]...)
 	for r := 0; r < c.n; r++ {
 		for k := c.rowPtr[r]; k < c.rowPtr[r+1]; k++ {
 			j := c.colIdx[k]
 			p := next[j]
 			next[j]++
-			t.colIdx[p] = r
+			t.colIdx[p] = int32(r)
 			t.vals[p] = c.vals[k]
 		}
 	}
@@ -220,7 +247,7 @@ func (c *CSR) Apply(x, y []float64) {
 func (c *CSR) Scan(fn func(i, j int, v float64)) {
 	for r := 0; r < c.n; r++ {
 		for k := c.rowPtr[r]; k < c.rowPtr[r+1]; k++ {
-			fn(r, c.colIdx[k], c.vals[k])
+			fn(r, int(c.colIdx[k]), c.vals[k])
 		}
 	}
 }
@@ -229,15 +256,15 @@ func (c *CSR) Scan(fn func(i, j int, v float64)) {
 // order.
 func (c *CSR) ScanRow(i int, fn func(j int, v float64)) {
 	for k := c.rowPtr[i]; k < c.rowPtr[i+1]; k++ {
-		fn(c.colIdx[k], c.vals[k])
+		fn(int(c.colIdx[k]), c.vals[k])
 	}
 }
 
 // At returns element (i,j) by scanning row i (O(log nnz_row)).
 func (c *CSR) At(i, j int) float64 {
-	lo, hi := c.rowPtr[i], c.rowPtr[i+1]
-	k := lo + sort.SearchInts(c.colIdx[lo:hi], j)
-	if k < hi && c.colIdx[k] == j {
+	lo, hi := int(c.rowPtr[i]), int(c.rowPtr[i+1])
+	k := lo + searchIdx(c.colIdx[lo:hi], j)
+	if k < hi && int(c.colIdx[k]) == j {
 		return c.vals[k]
 	}
 	return 0
@@ -250,7 +277,7 @@ func (c *CSR) GershgorinRadius() float64 {
 	for r := 0; r < c.n; r++ {
 		sum := 0.0
 		for k := c.rowPtr[r]; k < c.rowPtr[r+1]; k++ {
-			if c.colIdx[k] == r {
+			if int(c.colIdx[k]) == r {
 				continue
 			}
 			if v := c.vals[k]; v < 0 {

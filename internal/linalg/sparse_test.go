@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -47,6 +48,29 @@ func TestNewCSRSymDuplicatesAndValidation(t *testing.T) {
 	}
 	if _, err := NewCSRSym(-1, nil); err == nil {
 		t.Fatal("negative order must be rejected")
+	}
+}
+
+// TestCSRIndexLimit pins the int32 index guard: an order or non-zero
+// count past math.MaxInt32 is an error, never a silently wrapped index.
+// The order check runs before anything is allocated.
+func TestCSRIndexLimit(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("int cannot exceed math.MaxInt32 on this platform")
+	}
+	over := math.MaxInt32
+	over++
+	if _, err := NewCSRSym(over, nil); err == nil {
+		t.Fatal("NewCSRSym accepted an order past the int32 limit")
+	}
+	if _, err := NewCSRGeneral(over, nil); err == nil {
+		t.Fatal("NewCSRGeneral accepted an order past the int32 limit")
+	}
+	if err := checkCSRSize(10, over); err == nil {
+		t.Fatal("a non-zero count past the int32 limit was accepted")
+	}
+	if err := checkCSRSize(math.MaxInt32, math.MaxInt32); err != nil {
+		t.Fatalf("the int32 limit itself must be accepted: %v", err)
 	}
 }
 

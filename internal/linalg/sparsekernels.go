@@ -158,10 +158,10 @@ func (c *CSR) AccumulateFlipRange(y []float64, j int, sign float64, lo, hi int) 
 	if j < 0 || j >= c.n {
 		panic(fmt.Sprintf("linalg: CSR.AccumulateFlipRange spin %d outside [0,%d)", j, c.n))
 	}
-	rs, re := c.rowPtr[j], c.rowPtr[j+1]
+	rs, re := int(c.rowPtr[j]), int(c.rowPtr[j+1])
 	row := c.colIdx[rs:re]
-	a := searchInts(row, lo)
-	b := searchInts(row, hi)
+	a := searchIdx(row, lo)
+	b := searchIdx(row, hi)
 	cols, vals := row[a:b], c.vals[rs+a:rs+b]
 	switch sign {
 	case 1:
@@ -179,13 +179,14 @@ func (c *CSR) AccumulateFlipRange(y []float64, j int, sign float64, lo, hi int) 
 	}
 }
 
-// searchInts returns the smallest index i with a[i] >= v (sort.SearchInts
-// without the interface indirection; row slices are hot-path).
-func searchInts(a []int, v int) int {
+// searchIdx returns the smallest index i with a[i] >= v over a row's
+// int32 column indices (a sort.SearchInts without the interface
+// indirection; row slices are hot-path).
+func searchIdx(a []int32, v int) int {
 	lo, hi := 0, len(a)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if a[mid] < v {
+		if int(a[mid]) < v {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -247,7 +248,7 @@ func NewCSRBits(c *CSR) (*CSRBits, bool) {
 	for r := 0; r < c.n; r++ {
 		lastWord := int32(-1)
 		for k := c.rowPtr[r]; k < c.rowPtr[r+1]; k++ {
-			w := int32(c.colIdx[k] >> 6)
+			w := c.colIdx[k] >> 6
 			if w != lastWord {
 				b.words = append(b.words, w)
 				b.pos = append(b.pos, 0)

@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -142,7 +143,7 @@ func TestCSRGeneralKernelsOnAsymmetricBlocks(t *testing.T) {
 	}
 	for r := 0; r < n; r++ {
 		lo, hi := tr.rowPtr[r], tr.rowPtr[r+1]
-		if !sort.IntsAreSorted(tr.colIdx[lo:hi]) {
+		if !slices.IsSorted(tr.colIdx[lo:hi]) {
 			t.Fatalf("transpose row %d not sorted", r)
 		}
 	}
@@ -217,7 +218,7 @@ func TestNewCSRSymMatchesMapBuild(t *testing.T) {
 		// Structural invariant: rows sorted, rowPtr consistent.
 		for r := 0; r < n; r++ {
 			lo, hi := got.rowPtr[r], got.rowPtr[r+1]
-			if !sort.IntsAreSorted(got.colIdx[lo:hi]) {
+			if !slices.IsSorted(got.colIdx[lo:hi]) {
 				t.Fatalf("trial %d: row %d not sorted", trial, r)
 			}
 		}
@@ -333,7 +334,7 @@ func TestGreedyColoringInvariant(t *testing.T) {
 		seen := make([]int, n)
 		maxDeg := 0
 		for r := 0; r < n; r++ {
-			if d := csr.rowPtr[r+1] - csr.rowPtr[r]; d > maxDeg {
+			if d := int(csr.rowPtr[r+1] - csr.rowPtr[r]); d > maxDeg {
 				maxDeg = d
 			}
 		}

@@ -101,8 +101,9 @@ type ConfigOverrides struct {
 	TargetEnergy   *float64 `json:"target_energy,omitempty"`
 	EvalEvery      *int     `json:"eval_every,omitempty"`
 	ExactRecompute *bool    `json:"exact_recompute,omitempty"`
-	// Workers is the per-replica PE worker count; BatchWorkers bounds
-	// concurrent replicas (core.BatchOptions). Neither changes results.
+	// Workers is the per-replica PE worker count (absent: the cores the
+	// batch leaves free per replica); BatchWorkers bounds concurrent
+	// replicas (core.BatchOptions). Neither changes results.
 	Workers      *int `json:"workers,omitempty"`
 	BatchWorkers *int `json:"batch_workers,omitempty"`
 }
@@ -202,8 +203,12 @@ type ResultView struct {
 	Succeeded    int               `json:"succeeded"`
 	SuccessProb  float64           `json:"success_prob"`
 	Stopped      int               `json:"stopped"`
-	Replicas     []ReplicaView     `json:"replicas"`
-	Ops          metrics.OpCounts  `json:"ops"`
+	// JobWorkers is the PE worker count each replica ran with
+	// (core.BatchResult.JobWorkers), so a job can explain its
+	// parallelism.
+	JobWorkers int              `json:"job_workers"`
+	Replicas   []ReplicaView    `json:"replicas"`
+	Ops        metrics.OpCounts `json:"ops"`
 	// Tempering carries the exchange statistics when the job ran as a
 	// tempering ladder; absent for independent-restart batches.
 	Tempering *TemperingView `json:"tempering,omitempty"`
@@ -274,6 +279,7 @@ func (j *job) resultView(b *core.BatchResult) *ResultView {
 		Succeeded:    b.Succeeded,
 		SuccessProb:  b.SuccessProb,
 		Stopped:      b.Stopped,
+		JobWorkers:   b.JobWorkers,
 		Replicas:     make([]ReplicaView, len(b.Results)),
 		Ops:          b.Ops,
 	}

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -99,6 +102,57 @@ func TestProblemJobBitReproducible(t *testing.T) {
 	cs := m.Stats().SolverCache
 	if cs.Hits < 1 {
 		t.Errorf("identical resubmission missed the solver cache: %+v", cs)
+	}
+}
+
+// TestProblemJobDefaultWidthMatchesSerial: a one-replica problem job
+// with no worker settings runs its replica at the batch's derived PE
+// width (every core the batch leaves free), and returns the same spins,
+// energy and decoded solution as the same job pinned to config.workers
+// 1. The batch_workers 2 variant forces a two-worker PE pool on any
+// machine.
+func TestProblemJobDefaultWidthMatchesSerial(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	var edges []string
+	for i := 0; i < 48; i++ {
+		edges = append(edges, fmt.Sprintf("[%d,%d,1]", i, (i+1)%48), fmt.Sprintf("[%d,%d,1]", i, (i+17)%48))
+	}
+	doc := `{"type":"maxcut","graph":{"n":48,"edges":[` + strings.Join(edges, ",") + `]}}`
+	run := func(o ConfigOverrides) *ResultView {
+		spec := problemSpec(doc)
+		spec.Seeds = []int64{11}
+		spec.Config.Workers, spec.Config.BatchWorkers = o.Workers, o.BatchWorkers
+		v, err := m.Submit(spec)
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		return waitState(t, m, v.ID, StateDone).Result
+	}
+	serial := run(ConfigOverrides{Workers: intp(1)})
+	if serial.JobWorkers != 1 {
+		t.Fatalf("config.workers 1 ran %d PE workers", serial.JobWorkers)
+	}
+	for _, c := range []struct {
+		name string
+		o    ConfigOverrides
+		want int
+	}{
+		{"default", ConfigOverrides{}, runtime.GOMAXPROCS(0)},
+		{"batch_workers 2", ConfigOverrides{BatchWorkers: intp(2)}, 2},
+	} {
+		got := run(c.o)
+		if got.JobWorkers != c.want {
+			t.Errorf("%s: ran %d PE workers, want %d", c.name, got.JobWorkers, c.want)
+		}
+		if math.Float64bits(got.BestEnergy) != math.Float64bits(serial.BestEnergy) {
+			t.Errorf("%s: best energy %v, serial %v", c.name, got.BestEnergy, serial.BestEnergy)
+		}
+		if !bytes.Equal(int8Bytes(got.BestSpins), int8Bytes(serial.BestSpins)) {
+			t.Errorf("%s: best spins differ from the serial job", c.name)
+		}
+		if got.Solution == nil || !reflect.DeepEqual(got.Solution, serial.Solution) {
+			t.Errorf("%s: decoded solution %+v, serial %+v", c.name, got.Solution, serial.Solution)
+		}
 	}
 }
 
