@@ -20,7 +20,7 @@ import (
 	"sophie/internal/arch"
 	"sophie/internal/core"
 	"sophie/internal/graph"
-	"sophie/internal/ising"
+	"sophie/internal/problem"
 	"sophie/internal/sched"
 	"sophie/internal/tiling"
 	"sophie/internal/trace"
@@ -222,6 +222,10 @@ func traceReplay(d arch.Design, nodes, tile, local, global int, frac float64, ru
 	if err != nil {
 		return nil, 0, tally, err
 	}
+	c, err := problem.Compile(&problem.MaxCut{G: g})
+	if err != nil {
+		return nil, 0, tally, err
+	}
 	cfg := core.DefaultConfig()
 	cfg.TileSize = tile
 	cfg.LocalIters = local
@@ -234,7 +238,7 @@ func traceReplay(d arch.Design, nodes, tile, local, global int, frac float64, ru
 
 	var best float64
 	if rungs >= 2 {
-		solver, err := core.NewSolver(ising.FromMaxCut(g), cfg)
+		solver, err := core.NewSolver(c.Model, cfg)
 		if err != nil {
 			return nil, 0, tally, err
 		}
@@ -250,7 +254,7 @@ func traceReplay(d arch.Design, nodes, tile, local, global int, frac float64, ru
 		tally.attempted = batch.Tempering.Attempted
 		tally.accepted = batch.Tempering.Accepted
 	} else {
-		res, err := core.Solve(ising.FromMaxCut(g), cfg)
+		res, err := core.Solve(c.Model, cfg)
 		if err != nil {
 			return nil, 0, tally, err
 		}

@@ -55,15 +55,8 @@ func run(args []string, stdout io.Writer) error {
 	var g *graph.Graph
 	var err error
 	if *preset != "" {
-		switch *preset {
-		case "G1":
-			g = graph.G1Standin()
-		case "G22":
-			g = graph.G22Standin()
-		case "K100":
-			g = graph.KGraph(100)
-		default:
-			return fmt.Errorf("unknown preset %q (G1, G22, K100)", *preset)
+		if g, err = graph.Preset(*preset); err != nil {
+			return err
 		}
 	} else {
 		var scheme graph.WeightScheme

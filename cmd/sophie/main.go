@@ -1,7 +1,8 @@
 // Command sophie solves a max-cut instance — or any problem-spec the
 // QUBO/Ising compiler front end accepts — with the SOPHIE modified
-// PRIS algorithm (functional simulation) and reports the cut or domain
-// objective, energy, iteration counts, and operation tallies.
+// PRIS algorithm (functional simulation) and reports the decoded domain
+// objective (the cut weight for max-cut), energy, iteration counts, and
+// operation tallies.
 //
 // Usage:
 //
@@ -74,27 +75,9 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 
-	var (
-		g     *graph.Graph
-		prob  problem.Problem
-		model *ising.Model
-	)
-	if *probFile != "" {
-		if *graphFile != "" || *preset != "" {
-			return fmt.Errorf("-problem cannot combine with -graph or -preset")
-		}
-		var err error
-		prob, model, err = loadProblem(*probFile, stdin, stdout)
-		if err != nil {
-			return err
-		}
-	} else {
-		var err error
-		g, err = loadGraph(*graphFile, *preset, stdin)
-		if err != nil {
-			return err
-		}
-		model = ising.FromMaxCut(g)
+	prob, model, err := loadProblem(*probFile, *graphFile, *preset, stdin, stdout)
+	if err != nil {
+		return err
 	}
 
 	cfg := core.DefaultConfig()
@@ -132,29 +115,20 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("-tempering and -portfolio cannot combine (a -target alone stops the whole ladder)")
 	}
 
-	if prob != nil {
-		if !model.HasDense() && !*skip {
-			return fmt.Errorf("problem lowers to %d variables and is sparse-built; pass -skip-transform", model.N())
-		}
-		if init, ok := prob.(problem.Initializer); ok {
-			if s0 := init.InitialSpins(); s0 != nil {
-				cfg.InitialSpins = s0
-			}
+	if !model.HasDense() && !*skip {
+		return fmt.Errorf("problem lowers to %d variables and is sparse-built; pass -skip-transform", model.N())
+	}
+	if init, ok := prob.(problem.Initializer); ok {
+		if s0 := init.InitialSpins(); s0 != nil {
+			cfg.InitialSpins = s0
 		}
 	}
-
-	// scoreOf is the per-result domain figure: the cut value for graph
-	// inputs, the decoded objective for problem specs.
-	scoreLabel, scoreOf := "cut", func(spins []int8) float64 { return g.CutValue(spins) }
-	if prob != nil {
-		scoreLabel = "objective"
-		scoreOf = func(spins []int8) float64 {
-			sol, err := prob.Decode(spins)
-			if err != nil {
-				return math.NaN()
-			}
-			return sol.Objective
+	objectiveOf := func(spins []int8) float64 {
+		sol, err := prob.Decode(spins)
+		if err != nil {
+			return math.NaN()
 		}
+		return sol.Objective
 	}
 
 	ctx := context.Background()
@@ -164,9 +138,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		defer cancel()
 	}
 
-	if g != nil {
-		fmt.Fprintf(stdout, "graph: %d nodes, %d edges (density %.4f)\n", g.N(), g.M(), g.Density())
-	}
 	start := time.Now()
 	solver, err := core.NewSolver(model, cfg)
 	if err != nil {
@@ -210,15 +181,15 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 				label = "rung"
 				rung = fmt.Sprintf(" (phi %.3f)", ts.Phis[j])
 			}
-			fmt.Fprintf(stdout, "%s %d%s: %s %.0f, energy %.0f, best at global iter %d%s\n",
-				label, j, rung, scoreLabel, scoreOf(res.BestSpins), res.BestEnergy, res.BestGlobalIter, status)
+			fmt.Fprintf(stdout, "%s %d%s: objective %.0f, energy %.0f, best at global iter %d%s\n",
+				label, j, rung, objectiveOf(res.BestSpins), res.BestEnergy, res.BestGlobalIter, status)
 		}
 		if ts := batch.Tempering; ts != nil {
 			fmt.Fprintf(stdout, "tempering: %d/%d exchanges accepted (rate %.2f) on ladder [%.3f, %.3f]\n",
 				ts.Accepted, ts.Attempted, ts.ExchangeRate, *tmin, *tmax)
 		}
-		fmt.Fprintf(stdout, "batch: best %s %.0f (replica %d), energy best %.0f / median %.0f / mean %.1f, wall %v\n",
-			scoreLabel, scoreOf(batch.Best().BestSpins), batch.BestIndex,
+		fmt.Fprintf(stdout, "batch: best objective %.0f (replica %d), energy best %.0f / median %.0f / mean %.1f, wall %v\n",
+			objectiveOf(batch.Best().BestSpins), batch.BestIndex,
 			batch.BestEnergy, batch.MedianEnergy, batch.MeanEnergy,
 			wall.Round(time.Millisecond))
 		if cfg.TargetEnergy != nil {
@@ -232,9 +203,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if *showOps {
 			fmt.Fprintf(stdout, "operation counts (all replicas):\n%s", batch.Ops.String())
 		}
-		if prob != nil {
-			printSolution(stdout, prob, batch.Best().BestSpins)
-		}
+		printSolution(stdout, prob, batch.Best().BestSpins)
 		return nil
 	}
 
@@ -261,8 +230,8 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		if res.Stopped {
 			status = " (stopped by timeout)"
 		}
-		fmt.Fprintf(stdout, "job %d: %s %.0f, energy %.0f, best at global iter %d, wall %v%s\n",
-			r, scoreLabel, scoreOf(res.BestSpins), res.BestEnergy, res.BestGlobalIter, time.Since(jobStart).Round(time.Millisecond), status)
+		fmt.Fprintf(stdout, "job %d: objective %.0f, energy %.0f, best at global iter %d, wall %v%s\n",
+			r, objectiveOf(res.BestSpins), res.BestEnergy, res.BestGlobalIter, time.Since(jobStart).Round(time.Millisecond), status)
 		if res.Stopped {
 			// The budget covers the whole solve; later jobs would start
 			// already expired and report nothing useful.
@@ -270,34 +239,26 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			break
 		}
 	}
-	bestScore := 0.0
+	best := 0.0
 	if bestSpins != nil {
-		bestScore = scoreOf(bestSpins)
+		best = objectiveOf(bestSpins)
 	}
-	fmt.Fprintf(stdout, "best %s over %d job(s): %.0f\n", scoreLabel, ran, bestScore)
+	fmt.Fprintf(stdout, "best objective over %d job(s): %.0f\n", ran, best)
 	if *showOps {
 		fmt.Fprintf(stdout, "operation counts (all jobs):\n%s", totalOps.String())
 	}
-	if prob != nil {
-		printSolution(stdout, prob, bestSpins)
-	}
+	printSolution(stdout, prob, bestSpins)
 	return nil
 }
 
-// loadProblem reads and compiles a problem-spec JSON document,
-// printing the lowering summary.
-func loadProblem(file string, stdin io.Reader, stdout io.Writer) (problem.Problem, *ising.Model, error) {
-	var data []byte
-	var err error
-	if file == "-" {
-		data, err = io.ReadAll(stdin)
-	} else {
-		data, err = os.ReadFile(file)
+// loadProblem reads the one problem source — a problem-spec JSON
+// document (-problem), or a max-cut graph from a GSET file or stdin
+// (-graph) or a preset — compiles it, and prints the lowering summary.
+func loadProblem(specFile, graphFile, preset string, stdin io.Reader, stdout io.Writer) (problem.Problem, *ising.Model, error) {
+	if specFile != "" && (graphFile != "" || preset != "") {
+		return nil, nil, fmt.Errorf("-problem cannot combine with -graph or -preset")
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	p, err := problem.ParseSpec(data)
+	p, err := readProblem(specFile, graphFile, preset, stdin)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -312,6 +273,39 @@ func loadProblem(file string, stdin io.Reader, stdout io.Writer) (problem.Proble
 	fmt.Fprintf(stdout, "problem: %s, lowered to %d spins%s (energy offset %g)\n",
 		p.Type(), c.Model.N(), field, c.Offset)
 	return p, c.Model, nil
+}
+
+func readProblem(specFile, graphFile, preset string, stdin io.Reader) (problem.Problem, error) {
+	if specFile != "" {
+		var data []byte
+		var err error
+		if specFile == "-" {
+			data, err = io.ReadAll(stdin)
+		} else {
+			data, err = os.ReadFile(specFile)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return problem.ParseSpec(data)
+	}
+	if preset != "" {
+		g, err := graph.Preset(preset)
+		if err != nil {
+			return nil, err
+		}
+		return &problem.MaxCut{G: g}, nil
+	}
+	if graphFile == "" || graphFile == "-" {
+		return problem.ReadMaxCut(stdin, "graph")
+	}
+	f, err := os.Open(graphFile)
+	if err != nil {
+		return nil, err
+	}
+	// Read path: a close error cannot corrupt anything already parsed.
+	defer func() { _ = f.Close() }()
+	return problem.ReadMaxCut(f, "graph")
 }
 
 // printSolution reports the decoded domain answer of the best spins.
@@ -335,29 +329,4 @@ func printSolution(stdout io.Writer, prob problem.Problem, spins []int8) {
 	if data, err := json.Marshal(sol.Assignment); err == nil {
 		fmt.Fprintf(stdout, "  assignment: %s\n", data)
 	}
-}
-
-func loadGraph(file, preset string, stdin io.Reader) (*graph.Graph, error) {
-	if preset != "" {
-		switch preset {
-		case "G1":
-			return graph.G1Standin(), nil
-		case "G22":
-			return graph.G22Standin(), nil
-		case "K100":
-			return graph.KGraph(100), nil
-		default:
-			return nil, fmt.Errorf("unknown preset %q", preset)
-		}
-	}
-	if file == "" || file == "-" {
-		return graph.Read(stdin)
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	// Read path: a close error cannot corrupt anything already parsed.
-	defer func() { _ = f.Close() }()
-	return graph.Read(f)
 }

@@ -16,7 +16,7 @@ func TestRunPreset(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"graph: 100 nodes", "job 0:", "job 1:", "best cut over 2 job(s)", "mvm(1b)"} {
+	for _, want := range []string{"problem: maxcut, lowered to 100 spins", "job 0:", "job 1:", "best objective over 2 job(s)", "mvm(1b)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
@@ -32,7 +32,7 @@ func TestRunReplicasBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"replica 0:", "replica 2:", "batch: best cut", "median", "mvm(1b)"} {
+	for _, want := range []string{"replica 0:", "replica 2:", "batch: best objective", "median", "mvm(1b)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}
@@ -73,7 +73,7 @@ func TestRunStdin(t *testing.T) {
 	if err := run([]string{"-tile", "16", "-global", "15"}, &in, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "graph: 40 nodes") {
+	if !strings.Contains(out.String(), "problem: maxcut, lowered to 40 spins") {
 		t.Fatalf("stdin path failed:\n%s", out.String())
 	}
 }
@@ -86,7 +86,7 @@ func TestRunDeviceAndFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "best cut") {
+	if !strings.Contains(out.String(), "best objective") {
 		t.Fatal("device run produced no summary")
 	}
 }
@@ -105,6 +105,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{}, strings.NewReader("garbage"), &out); err == nil {
 		t.Fatal("bad stdin graph must fail")
 	}
+	// Graphs share the spec order budget, and above the dense compile
+	// limit they need -skip-transform.
+	if err := run([]string{}, strings.NewReader("4194305 0\n"), &out); err == nil {
+		t.Fatal("graph past the spec order budget must fail")
+	}
+	if err := run([]string{}, strings.NewReader("12000 0\n"), &out); err == nil || !strings.Contains(err.Error(), "-skip-transform") {
+		t.Fatalf("sparse-built graph without -skip-transform: got %v", err)
+	}
 }
 
 func TestRunRankAndAnneal(t *testing.T) {
@@ -115,7 +123,7 @@ func TestRunRankAndAnneal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "best cut") {
+	if !strings.Contains(out.String(), "best objective") {
 		t.Fatal("rank/anneal run produced no summary")
 	}
 }
@@ -132,7 +140,7 @@ func TestRunTimeoutSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"(stopped by timeout)", "skipping 2 remaining job(s)", "best cut over 1 job(s)"} {
+	for _, want := range []string{"(stopped by timeout)", "skipping 2 remaining job(s)", "best objective over 1 job(s)"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("output missing %q:\n%s", want, s)
 		}

@@ -43,6 +43,7 @@ import (
 	"sophie/internal/graph"
 	"sophie/internal/ising"
 	"sophie/internal/linalg"
+	"sophie/internal/problem"
 	"sophie/internal/service"
 	"sophie/internal/trace"
 	"sophie/internal/wal"
@@ -213,7 +214,11 @@ func run(benchtime, out string) error {
 	if err != nil {
 		return err
 	}
-	model := ising.FromMaxCut(g)
+	c, err := problem.Compile(&problem.MaxCut{G: g})
+	if err != nil {
+		return err
+	}
+	model := c.Model
 	cfg := core.DefaultConfig()
 	cfg.GlobalIters = 30
 	cfg.Phi = 0.2
@@ -316,7 +321,11 @@ func run(benchtime, out string) error {
 		if err != nil {
 			return err
 		}
-		cm := ising.FromMaxCut(cg)
+		cc, err := problem.Compile(&problem.MaxCut{G: cg})
+		if err != nil {
+			return err
+		}
+		cm := cc.Model
 		ccfg := core.DefaultConfig()
 		ccfg.TileSize = cr.tile
 		ccfg.LocalIters = 4

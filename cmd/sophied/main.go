@@ -1,7 +1,8 @@
 // Command sophied is the SOPHIE solver daemon: a job-queue service
-// that accepts max-cut jobs over an HTTP JSON API, executes them on a
-// bounded worker pool through the context-aware batch runtime, and
-// reports results, lifecycle state, and service metrics.
+// that accepts max-cut and typed problem jobs over an HTTP JSON API,
+// executes them on a bounded worker pool through the context-aware
+// batch runtime, and reports results, lifecycle state, and service
+// metrics.
 //
 // Usage:
 //
@@ -10,15 +11,15 @@
 //	curl localhost:8080/v1/jobs/j00000001
 //
 // On SIGINT/SIGTERM the daemon stops admission (503 + draining
-// /healthz), drains in-flight jobs to completion (bounded by
+// /healthz) and drains in-flight jobs to completion (bounded by
 // -drain-timeout, after which they are force-cancelled at their next
-// global-iteration boundary), and writes the still-queued jobs to
-// -snapshot for resubmission after a restart.
+// global-iteration boundary). Jobs still queued are cancelled, and
+// their IDs are printed as dropped, or as kept for replay under -wal.
 //
-// With -wal DIR the queue is durable: every accepted job is fsync'd to
-// a write-ahead log before its 202, and a restart over the same
-// directory replays queued and interrupted jobs back into the queue —
-// a kill -9 loses nothing. -tenant-rate/-tenant-burst/-tenant-share
+// With -wal DIR the queue is durable — the one way jobs survive a
+// restart: every accepted job is fsync'd to a write-ahead log before
+// its 202, and a restart over the same directory replays queued and
+// interrupted jobs back into the queue — a kill -9 loses nothing. -tenant-rate/-tenant-burst/-tenant-share
 // turn on per-tenant fair admission keyed by the X-Tenant header, and
 // GET /v1/jobs/{id}/events streams live progress as server-sent
 // events:
@@ -29,7 +30,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,6 +38,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -68,7 +69,6 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		maxReplicas    = fs.Int("max-replicas", 64, "per-job replica cap")
 		problemDir     = fs.String("problem-dir", "", "root directory for graph_file submissions (empty disables them)")
 		cacheSize      = fs.Int("cache", 8, "preprocessed solvers kept in the LRU cache")
-		snapshotPath   = fs.String("snapshot", "", "write the drained queue snapshot JSON here on shutdown")
 		drainTimeout   = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight jobs before force-cancelling")
 		walDir         = fs.String("wal", "", "job write-ahead log directory; enables crash recovery (empty = memory-only queue)")
 		tenantRate     = fs.Float64("tenant-rate", 0, "per-tenant sustained submissions/second (0 disables rate limiting)")
@@ -159,11 +159,16 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 		fmt.Fprintf(stdout, "sophied: serve: %v\n", err)
 	}
 
-	if *snapshotPath != "" && len(snap.Jobs) > 0 {
-		if err := writeSnapshot(*snapshotPath, snap); err != nil {
-			return fmt.Errorf("writing queue snapshot: %w", err)
+	if len(snap.Jobs) > 0 {
+		ids := make([]string, len(snap.Jobs))
+		for i, j := range snap.Jobs {
+			ids[i] = j.ID
 		}
-		fmt.Fprintf(stdout, "sophied: snapshotted %d queued job(s) to %s\n", len(snap.Jobs), *snapshotPath)
+		fate := "dropped (run with -wal to keep queued jobs across a restart)"
+		if jlog != nil {
+			fate = "kept in the WAL for replay"
+		}
+		fmt.Fprintf(stdout, "sophied: %d queued job(s) %s: %s\n", len(ids), fate, strings.Join(ids, " "))
 	}
 	if drainErr != nil {
 		fmt.Fprintln(stdout, "sophied: drain timeout — in-flight jobs force-cancelled at iteration boundaries")
@@ -171,12 +176,4 @@ func run(ctx context.Context, args []string, stdout io.Writer, ready chan<- stri
 	}
 	fmt.Fprintln(stdout, "sophied: drained cleanly")
 	return nil
-}
-
-func writeSnapshot(path string, snap *service.QueueSnapshot) error {
-	buf, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -4,14 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"sophie/internal/core"
 	"sophie/internal/graph"
+	"sophie/internal/problem"
 	"sophie/internal/service"
 )
 
@@ -20,12 +22,18 @@ import (
 // run's return.
 func startDaemon(t *testing.T, extraArgs ...string) (string, context.CancelFunc, chan error) {
 	t.Helper()
+	return startDaemonOut(t, new(bytes.Buffer), extraArgs...)
+}
+
+// startDaemonOut is startDaemon with the daemon's log sent to out. Read
+// out only after run has returned on errCh.
+func startDaemonOut(t *testing.T, out io.Writer, extraArgs ...string) (string, context.CancelFunc, chan error) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	ready := make(chan string, 1)
 	errCh := make(chan error, 1)
 	args := append([]string{"-addr", "127.0.0.1:0"}, extraArgs...)
-	var out bytes.Buffer
-	go func() { errCh <- run(ctx, args, &out, ready) }()
+	go func() { errCh <- run(ctx, args, out, ready) }()
 	select {
 	case addr := <-ready:
 		return "http://" + addr, cancel, errCh
@@ -129,25 +137,12 @@ func TestDaemonLifecycle(t *testing.T) {
 	}
 }
 
-// TestDaemonDrainSnapshot forces a drain with one in-flight job too
-// slow for the drain window and one still-queued job: the queued job
-// must land in the snapshot file and run must report the forced drain.
-func TestDaemonDrainSnapshot(t *testing.T) {
-	snapPath := filepath.Join(t.TempDir(), "queue.json")
-	base, cancel, errCh := startDaemon(t,
-		"-workers", "1", "-drain-timeout", "300ms", "-snapshot", snapPath)
-
-	slow := map[string]any{
-		"graph": kGraphText(t, 12),
-		"config": map[string]any{
-			"tile_size": 6, "local_iters": 1, "global_iters": 50000000,
-		},
-	}
-	first := submit(t, base, slow)
-	// Wait until the worker has it before queueing the second.
+// waitRunning polls until job id is running.
+func waitRunning(t *testing.T, base, id string) {
+	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(base + "/v1/jobs/" + first.ID)
+		resp, err := http.Get(base + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,13 +152,34 @@ func TestDaemonDrainSnapshot(t *testing.T) {
 		}
 		_ = resp.Body.Close()
 		if v.State == service.StateRunning {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
+			t.Fatalf("job %s never started", id)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// TestDaemonDrainSnapshot forces a drain with one in-flight job too
+// slow for the drain window and one still-queued job, without a WAL:
+// run must report the forced drain, and the daemon's log must name the
+// queued job as dropped. The drained queue used to go to a -snapshot
+// file; that flag is retired (the WAL is the one way to survive a
+// restart, TestDaemonWALRecovery) and must now be rejected.
+func TestDaemonDrainSnapshot(t *testing.T) {
+	var out bytes.Buffer
+	base, cancel, errCh := startDaemonOut(t, &out,
+		"-workers", "1", "-drain-timeout", "300ms")
+
+	slow := map[string]any{
+		"graph": kGraphText(t, 12),
+		"config": map[string]any{
+			"tile_size": 6, "local_iters": 1, "global_iters": 50000000,
+		},
+	}
+	first := submit(t, base, slow)
+	waitRunning(t, base, first.ID)
 	queued := submit(t, base, slow)
 
 	cancel()
@@ -175,30 +191,27 @@ func TestDaemonDrainSnapshot(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not exit after cancel")
 	}
+	want := "sophied: 1 queued job(s) dropped (run with -wal to keep queued jobs across a restart): " + queued.ID + "\n"
+	if !strings.Contains(out.String(), want) {
+		t.Errorf("daemon log does not report the dropped queued job %s:\n%s", queued.ID, out.String())
+	}
 
-	buf, err := os.ReadFile(snapPath)
-	if err != nil {
-		t.Fatalf("reading snapshot: %v", err)
-	}
-	var snap service.QueueSnapshot
-	if err := json.Unmarshal(buf, &snap); err != nil {
-		t.Fatalf("snapshot JSON: %v", err)
-	}
-	if len(snap.Jobs) != 1 || snap.Jobs[0].ID != queued.ID {
-		t.Fatalf("snapshot %+v, want exactly the queued job %s", snap.Jobs, queued.ID)
-	}
-	if snap.Jobs[0].Spec.Graph == "" {
-		t.Error("snapshot spec lost the inline graph")
+	ctx, cancelRun := context.WithCancel(context.Background())
+	defer cancelRun()
+	if err := run(ctx, []string{"-snapshot", filepath.Join(t.TempDir(), "queue.json")}, io.Discard, nil); err == nil {
+		t.Fatal("retired -snapshot flag accepted")
 	}
 }
 
 // TestDaemonWALRecovery restarts the daemon over the same WAL
-// directory: a job interrupted mid-run and a job still queued at
-// shutdown must both come back and run to completion in the second
-// process lifetime — zero job loss across the restart.
+// directory: a job still queued at shutdown must come back with its
+// inline spec intact and run to completion in the second process
+// lifetime, with the same best objective as a direct solve, while the
+// force-cancelled in-flight job stays terminal.
 func TestDaemonWALRecovery(t *testing.T) {
 	walDir := filepath.Join(t.TempDir(), "wal")
-	base, cancel, errCh := startDaemon(t,
+	var out bytes.Buffer
+	base, cancel, errCh := startDaemonOut(t, &out,
 		"-workers", "1", "-drain-timeout", "100ms", "-wal", walDir)
 
 	slow := map[string]any{
@@ -214,25 +227,7 @@ func TestDaemonWALRecovery(t *testing.T) {
 		"config":   map[string]any{"tile_size": 6, "local_iters": 2, "global_iters": 10},
 	}
 	running := submit(t, base, slow)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + running.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v service.JobView
-		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-			t.Fatal(err)
-		}
-		_ = resp.Body.Close()
-		if v.State == service.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("first job never started")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	waitRunning(t, base, running.ID)
 	queued := submit(t, base, fast)
 
 	// Stop the daemon mid-queue. The running job is force-cancelled at
@@ -248,6 +243,9 @@ func TestDaemonWALRecovery(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("daemon did not exit after cancel")
 	}
+	if want := "sophied: 1 queued job(s) kept in the WAL for replay: " + queued.ID + "\n"; !strings.Contains(out.String(), want) {
+		t.Errorf("daemon log does not report the queued job %s as kept:\n%s", queued.ID, out.String())
+	}
 
 	// Second lifetime over the same WAL: the queued job replays and
 	// completes; the cancelled in-flight job does not resurrect.
@@ -258,6 +256,9 @@ func TestDaemonWALRecovery(t *testing.T) {
 	}
 	if len(v.Result.BestSpins) != 12 {
 		t.Errorf("recovered result spins length %d, want 12", len(v.Result.BestSpins))
+	}
+	if want := directObjective(t, 12, 9, 2); v.Result.BestObjective == nil || *v.Result.BestObjective != want {
+		t.Errorf("recovered best_objective %v, want %v from a direct solve", v.Result.BestObjective, want)
 	}
 	resp, err := http.Get(base2 + "/v1/jobs/" + running.ID)
 	if err != nil {
@@ -277,6 +278,40 @@ func TestDaemonWALRecovery(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("second daemon did not exit")
 	}
+}
+
+// directObjective solves max-cut on K_n with the fast job's config and
+// seeds seed..seed+replicas-1 outside the daemon, returning the decoded
+// best objective.
+func directObjective(t *testing.T, n int, seed int64, replicas int) float64 {
+	t.Helper()
+	p := &problem.MaxCut{G: graph.KGraph(n)}
+	c, err := problem.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	cfg.TileSize = 6
+	cfg.LocalIters = 2
+	cfg.GlobalIters = 10
+	solver, err := core.NewSolver(c.Model, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds, err := core.SeedRange(seed, replicas)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := solver.RunBatch(seeds, core.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := p.Decode(batch.Best().BestSpins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol.Objective
 }
 
 // TestDaemonFlagErrors checks bad flags fail fast.

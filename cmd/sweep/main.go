@@ -20,8 +20,8 @@ import (
 
 	"sophie/internal/core"
 	"sophie/internal/graph"
-	"sophie/internal/ising"
 	"sophie/internal/metrics"
+	"sophie/internal/problem"
 )
 
 func main() {
@@ -60,7 +60,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	model := ising.FromMaxCut(g)
+	c, err := problem.Compile(&problem.MaxCut{G: g})
+	if err != nil {
+		return err
+	}
+	model := c.Model
 
 	phis, err := parseFloats(*phiList)
 	if err != nil {
@@ -190,16 +194,7 @@ func parseInts(s string) ([]int, error) {
 
 func loadGraph(file, preset string, stdin io.Reader) (*graph.Graph, error) {
 	if preset != "" {
-		switch preset {
-		case "G1":
-			return graph.G1Standin(), nil
-		case "G22":
-			return graph.G22Standin(), nil
-		case "K100":
-			return graph.KGraph(100), nil
-		default:
-			return nil, fmt.Errorf("unknown preset %q", preset)
-		}
+		return graph.Preset(preset)
 	}
 	if file == "" || file == "-" {
 		return graph.Read(stdin)

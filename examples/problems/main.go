@@ -1,8 +1,9 @@
 // Combinatorial problems beyond max-cut: the paper's introduction
 // motivates Ising machines with routing, scheduling, and circuit design
-// workloads. This example reduces minimum vertex cover and graph
-// k-coloring to QUBO (Lucas 2014), embeds the linear field with an
-// ancilla spin, and solves both with the SOPHIE recurrence.
+// workloads. This example compiles minimum vertex cover and graph
+// k-coloring (Lucas 2014) onto Ising models whose linear terms ride the
+// solver's native field, solves both with the SOPHIE recurrence, and
+// decodes the answers with their feasibility reports.
 package main
 
 import (
@@ -13,136 +14,62 @@ import (
 )
 
 func main() {
-	solveVertexCover()
-	solveColoring()
+	// A ring of 8 nodes plus two chords; the minimum cover has 4 nodes.
+	ring := ringGraph(8)
+	if err := ring.AddEdge(0, 4, 1); err != nil {
+		log.Fatal(err)
+	}
+	if err := ring.AddEdge(2, 6, 1); err != nil {
+		log.Fatal(err)
+	}
+	cover := solve(&sophie.VertexCover{G: ring})
+	fmt.Printf("vertex cover: %v (size %.0f, feasible=%v)\n",
+		cover.Assignment.(*sophie.VertexSetSolution).Vertices, cover.Objective, cover.Feasible)
+
+	// A 5-cycle needs 3 colors.
+	coloring := solve(&sophie.Coloring{G: ringGraph(5), Colors: 3})
+	fmt.Printf("5-cycle 3-coloring: %v (feasible=%v)\n",
+		coloring.Assignment.(*sophie.ColoringSolution).Colors, coloring.Feasible)
 }
 
-// runIsing solves an embedded QUBO on SOPHIE and returns the binary
-// assignment of the first n variables, gauge-fixed so the ancilla reads
-// +1. Candidates from several seeds are scored by their QUBO value
-// (penalties included) and polished with a greedy single-flip descent —
-// the standard readout pipeline for constraint problems on Ising
-// machines.
-func runIsing(q *sophie.QUBO, n int, cfg sophie.Config) []float64 {
-	model, h, _ := q.ToIsing()
-	big, err := sophie.EmbedField(model, h)
+func ringGraph(n int) *sophie.Graph {
+	g := sophie.NewGraph(n)
+	for i := 0; i < n; i++ {
+		if err := g.AddEdge(i, (i+1)%n, 1); err != nil {
+			log.Fatal(err)
+		}
+	}
+	return g
+}
+
+// solve compiles p, runs a batch of eight replicas with an annealed
+// noise schedule (explore, then settle), and decodes the lowest-energy
+// spins.
+func solve(p sophie.Problem) *sophie.Solution {
+	c, err := sophie.Compile(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	var bestX []float64
-	bestV := 0.0
-	first := true
-	for seed := int64(0); seed < 8; seed++ {
-		cfg.Seed = seed
-		res, err := sophie.Solve(big, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		spins := res.BestSpins
-		// Gauge: a global flip leaves the energy invariant; orient the
-		// ancilla up.
-		if spins[len(spins)-1] == -1 {
-			for i := range spins {
-				spins[i] = -spins[i]
-			}
-		}
-		x := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if spins[i] == 1 {
-				x[i] = 1
-			}
-		}
-		greedyDescent(q, x)
-		if v := q.Value(x); first || v < bestV {
-			bestV = v
-			bestX = x
-			first = false
-		}
-	}
-	return bestX
-}
-
-// greedyDescent applies single- and pair-flip moves while any lowers
-// the QUBO value. Pair flips matter for one-hot encodings (coloring,
-// TSP), where swapping a color is two coupled flips that no single flip
-// can improve through.
-func greedyDescent(q *sophie.QUBO, x []float64) {
-	for improved := true; improved; {
-		improved = false
-		for i := range x {
-			before := q.Value(x)
-			x[i] = 1 - x[i]
-			if q.Value(x) < before {
-				improved = true
-			} else {
-				x[i] = 1 - x[i]
-			}
-		}
-		for i := range x {
-			for j := i + 1; j < len(x); j++ {
-				before := q.Value(x)
-				x[i], x[j] = 1-x[i], 1-x[j]
-				if q.Value(x) < before {
-					improved = true
-				} else {
-					x[i], x[j] = 1-x[i], 1-x[j]
-				}
-			}
-		}
-	}
-}
-
-func solverConfig() sophie.Config {
 	cfg := sophie.DefaultConfig()
 	cfg.TileSize = 16
 	cfg.GlobalIters = 400
 	cfg.Phi = 0.8
-	cfg.PhiEnd = 0.02 // anneal the noise: explore, then settle
-	return cfg
-}
-
-func solveVertexCover() {
-	// A ring of 8 nodes plus two chords; minimum cover has 4 nodes.
-	g := sophie.NewGraph(8)
-	for i := 0; i < 8; i++ {
-		if err := g.AddEdge(i, (i+1)%8, 1); err != nil {
-			log.Fatal(err)
-		}
-	}
-	g.AddEdge(0, 4, 1)
-	g.AddEdge(2, 6, 1)
-
-	q, err := sophie.VertexCoverQUBO(g, 3)
+	cfg.PhiEnd = 0.02
+	solver, err := sophie.NewSolver(c.Model, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	x := runIsing(q, g.N(), solverConfig())
-	cover := sophie.DecodeVertexCover(x)
-	fmt.Printf("vertex cover: %v (size %d, valid=%v)\n", cover, len(cover), sophie.IsVertexCover(g, cover))
-
-	// Exact reference via exhaustive enumeration (8 variables).
-	xr, _, err := sophie.SolveQUBOExhaustive(q)
+	seeds, err := sophie.SeedRange(1, 8)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ref := sophie.DecodeVertexCover(xr)
-	fmt.Printf("optimal cover size: %d\n\n", len(ref))
-}
-
-func solveColoring() {
-	// A 5-cycle needs 3 colors.
-	g := sophie.NewGraph(5)
-	for i := 0; i < 5; i++ {
-		if err := g.AddEdge(i, (i+1)%5, 1); err != nil {
-			log.Fatal(err)
-		}
-	}
-	const colors = 3
-	q, err := sophie.ColoringQUBO(g, colors, 2)
+	batch, err := solver.RunBatch(seeds, sophie.BatchOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	x := runIsing(q, g.N()*colors, solverConfig())
-	coloring := sophie.DecodeColoring(x, g.N(), colors)
-	fmt.Printf("5-cycle %d-coloring: %v (proper=%v)\n", colors, coloring, sophie.IsProperColoring(g, coloring))
+	sol, err := p.Decode(batch.Best().BestSpins)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return sol
 }

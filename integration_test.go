@@ -186,8 +186,10 @@ func TestEndToEndDriftRefreshCycle(t *testing.T) {
 	}
 }
 
-// TestEndToEndQUBOOnSOPHIE solves a vertex-cover QUBO through the full
-// embed → solve → decode pipeline with a noise-annealed schedule.
+// TestEndToEndQUBOOnSOPHIE solves a vertex-cover problem through the
+// full compile → solve → decode pipeline with a noise-annealed
+// schedule; the compiled model carries the QUBO's linear terms as a
+// native field.
 func TestEndToEndQUBOOnSOPHIE(t *testing.T) {
 	g := sophie.NewGraph(6)
 	for i := 0; i < 6; i++ {
@@ -195,12 +197,8 @@ func TestEndToEndQUBOOnSOPHIE(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, err := sophie.VertexCoverQUBO(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, h, _ := q.ToIsing()
-	big, err := sophie.EmbedField(model, h)
+	p := &sophie.VertexCover{G: g}
+	c, err := sophie.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,26 +210,16 @@ func TestEndToEndQUBOOnSOPHIE(t *testing.T) {
 	found := false
 	for seed := int64(0); seed < 6 && !found; seed++ {
 		cfg.Seed = seed
-		res, err := sophie.Solve(big, cfg)
+		res, err := sophie.Solve(c.Model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		spins := res.BestSpins
-		if spins[len(spins)-1] == -1 {
-			for i := range spins {
-				spins[i] = -spins[i]
-			}
+		sol, err := p.Decode(res.BestSpins)
+		if err != nil {
+			t.Fatal(err)
 		}
-		x := make([]float64, 6)
-		for i := 0; i < 6; i++ {
-			if spins[i] == 1 {
-				x[i] = 1
-			}
-		}
-		cover := sophie.DecodeVertexCover(x)
-		if sophie.IsVertexCover(g, cover) && len(cover) == 3 {
-			found = true // 6-cycle minimum cover is 3
-		}
+		// The 6-cycle's minimum cover has 3 nodes.
+		found = sol.Feasible && sol.Objective == 3 //sophielint:ignore floateq set sizes are integral
 	}
 	if !found {
 		t.Fatal("no seed found the minimum vertex cover of a 6-cycle")

@@ -9,6 +9,7 @@ import (
 	"sophie/internal/linalg"
 	"sophie/internal/metrics"
 	"sophie/internal/opcm"
+	"sophie/internal/problem"
 	"sophie/internal/tiling"
 )
 
@@ -99,7 +100,11 @@ func TestDeltaPathMatchesExactRecomputeVariants(t *testing.T) {
 // fallback: number-partitioning couplings are floats, so the tracker
 // must take the full Energy walk and still match the reference path.
 func TestDeltaPathFloatCouplings(t *testing.T) {
-	m := ising.NumberPartition([]float64{3.7, 1.2, 9.5, 4.4, 2.2, 8.1, 5.3, 0.9, 6.6, 7.7, 1.1, 2.9, 3.3, 4.8, 5.5, 6.1, 7.2, 8.8, 9.9, 0.4})
+	c, err := problem.Compile(&problem.NumberPartition{Numbers: []float64{3.7, 1.2, 9.5, 4.4, 2.2, 8.1, 5.3, 0.9, 6.6, 7.7, 1.1, 2.9, 3.3, 4.8, 5.5, 6.1, 7.2, 8.8, 9.9, 0.4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := c.Model
 	if m.IntegerCouplings() {
 		t.Fatal("test premise broken: expected non-integer couplings")
 	}

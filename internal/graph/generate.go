@@ -261,3 +261,17 @@ func TableI() []Instance {
 		{Name: "K32768", Nodes: 32768, Description: "Randomly generated complete graph", Build: func() *Graph { return KGraph(32768) }},
 	}
 }
+
+// Preset returns a named instance the CLIs and the service accept as a
+// preset: G1, G22 (the GSET stand-ins) or K100.
+func Preset(name string) (*Graph, error) {
+	switch name {
+	case "G1":
+		return G1Standin(), nil
+	case "G22":
+		return G22Standin(), nil
+	case "K100":
+		return KGraph(100), nil
+	}
+	return nil, fmt.Errorf("unknown preset %q (want G1, G22, or K100)", name)
+}

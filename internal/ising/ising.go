@@ -1,8 +1,8 @@
 // Package ising defines the Ising model abstraction shared by all
 // solvers: the coupling matrix K and Hamiltonian of Eq. 1, conversions
 // between the {0,1} spin encoding used by PRIS/SOPHIE and the ±1 physics
-// encoding, and reductions from combinatorial problems (max-cut, QUBO,
-// number partitioning) onto Ising ground-state search (Section II-B).
+// encoding, and the max-cut reduction (Section II-B). Every other
+// problem reaches the model through the compiler in internal/problem.
 package ising
 
 import (
@@ -330,130 +330,4 @@ func RandomSpins(n int, coin func() bool) []int8 {
 		}
 	}
 	return s
-}
-
-// QUBO is a quadratic unconstrained binary optimization problem:
-// minimize xᵀQx over x ∈ {0,1}ⁿ, with Q symmetric (the diagonal holds
-// the linear terms).
-type QUBO struct {
-	Q *linalg.Matrix
-}
-
-// NewQUBO validates and wraps a QUBO matrix.
-func NewQUBO(q *linalg.Matrix) (*QUBO, error) {
-	if q.Rows() != q.Cols() {
-		return nil, fmt.Errorf("ising: QUBO matrix must be square")
-	}
-	if !q.IsSymmetric(1e-9 * (1 + q.MaxAbs())) {
-		return nil, fmt.Errorf("ising: QUBO matrix must be symmetric")
-	}
-	return &QUBO{Q: q.Clone()}, nil
-}
-
-// Value evaluates xᵀQx for a binary assignment.
-func (q *QUBO) Value(x []float64) float64 {
-	n := q.Q.Rows()
-	if len(x) != n {
-		panic(fmt.Sprintf("ising: QUBO Value got %d vars for %d-var problem", len(x), n))
-	}
-	v := 0.0
-	for i := 0; i < n; i++ {
-		row := q.Q.Row(i)
-		for j, qij := range row {
-			v += x[i] * qij * x[j]
-		}
-	}
-	return v
-}
-
-// ToIsing converts the QUBO to an Ising model via x = (1+σ)/2.
-// It returns the model, the external field h (absorbed constants aside),
-// and the constant offset, so that
-//
-//	xᵀQx = -½σᵀKσ + hᵀσ + offset  with  K = -Q/2 (off-diagonal), h, offset below.
-//
-// SOPHIE's recurrence has no external-field term, so callers embed h by
-// adding an always-up ancilla spin coupled with strength hᵢ — helper
-// EmbedField does this.
-func (q *QUBO) ToIsing() (model *Model, h []float64, offset float64) {
-	n := q.Q.Rows()
-	k := linalg.NewMatrix(n, n)
-	h = make([]float64, n)
-	offset = 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			qij := q.Q.At(i, j)
-			if i == j {
-				h[i] += qij / 2
-				offset += qij / 2
-				continue
-			}
-			// x_i x_j = (1+σ_i)(1+σ_j)/4
-			k.Add(i, j, -qij/2) // so that -½σKσ contributes +q/4·σσ
-			h[i] += qij / 4
-			h[j] += qij / 4
-			offset += qij / 4
-		}
-	}
-	// The loop double-counts h and offset for the symmetric (i,j),(j,i)
-	// pairs exactly as the quadratic form does, so no correction needed.
-	m, err := NewModel(k)
-	if err != nil {
-		panic(err) // k is symmetric by construction
-	}
-	return m, h, offset
-}
-
-// EmbedField folds an external field h into a coupling matrix by adding
-// an ancilla spin (index n) pinned logically to +1: K'ᵢₙ = hᵢ. Solutions
-// of the enlarged model with σₙ = -1 are equivalent under global flip.
-func EmbedField(m *Model, h []float64) (*Model, error) {
-	n := m.N()
-	if len(h) != n {
-		return nil, fmt.Errorf("ising: field has %d entries for %d spins", len(h), n)
-	}
-	if m.k == nil {
-		return nil, fmt.Errorf("ising: EmbedField needs a dense-built model")
-	}
-	k := linalg.NewMatrix(n+1, n+1)
-	for i := 0; i < n; i++ {
-		copy(k.Row(i)[:n], m.k.Row(i))
-		k.Set(i, n, h[i])
-		k.Set(n, i, h[i])
-	}
-	return NewModel(k)
-}
-
-// NumberPartition builds the Ising model for partitioning the given
-// numbers into two subsets with minimal sum difference: K_ij = -2·aᵢaⱼ,
-// so H = (Σ aᵢσᵢ)² - Σaᵢ² and the ground state minimizes the imbalance
-// (Lucas 2014, §2.1).
-func NumberPartition(numbers []float64) *Model {
-	n := len(numbers)
-	k := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				k.Set(i, j, -2*numbers[i]*numbers[j])
-			}
-		}
-	}
-	m, err := NewModel(k)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// PartitionImbalance returns |Σ_{σ=+1} aᵢ - Σ_{σ=-1} aᵢ| for a spin
-// assignment of a number-partitioning instance.
-func PartitionImbalance(numbers []float64, spins []int8) float64 {
-	if len(numbers) != len(spins) {
-		panic("ising: numbers/spins length mismatch")
-	}
-	d := 0.0
-	for i, a := range numbers {
-		d += a * float64(spins[i])
-	}
-	return math.Abs(d)
 }

@@ -165,113 +165,36 @@ func TestRandomSpins(t *testing.T) {
 	}
 }
 
-func TestQUBOToIsingEquivalence(t *testing.T) {
-	// For every binary assignment, xᵀQx must equal the Ising expression
-	// -½σᵀKσ + hᵀσ + offset... i.e. Energy(σ) + hᵀσ + offset.
-	rng := rand.New(rand.NewSource(8))
-	n := 6
-	q := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := math.Round(rng.NormFloat64() * 3)
-			q.Set(i, j, v)
-			q.Set(j, i, v)
-		}
-	}
-	qubo, err := NewQUBO(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, h, offset := qubo.ToIsing()
-	for mask := 0; mask < 1<<n; mask++ {
-		x := make([]float64, n)
-		spins := make([]int8, n)
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				x[i] = 1
-				spins[i] = 1
-			} else {
-				spins[i] = -1
-			}
-		}
-		want := qubo.Value(x)
-		got := model.Energy(spins) + offset
-		for i := range h {
-			got += h[i] * float64(spins[i])
-		}
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("mask %b: ising %v != qubo %v", mask, got, want)
-		}
-	}
-}
-
-func TestNewQUBOValidation(t *testing.T) {
-	if _, err := NewQUBO(linalg.NewMatrix(2, 3)); err == nil {
-		t.Fatal("non-square QUBO must be rejected")
-	}
-	bad, _ := linalg.NewMatrixFrom(2, 2, []float64{0, 1, 3, 0})
-	if _, err := NewQUBO(bad); err == nil {
-		t.Fatal("asymmetric QUBO must be rejected")
-	}
-}
-
-func TestEmbedField(t *testing.T) {
+// TestWithField: a model's external field adds exactly -Σhᵢσᵢ to the
+// coupling energy, EnergyDelta accounts for it, and malformed fields
+// are rejected.
+func TestWithField(t *testing.T) {
 	k, _ := linalg.NewMatrixFrom(2, 2, []float64{0, 1, 1, 0})
 	m := mustModel(t, k)
 	h := []float64{0.5, -0.25}
-	big, err := EmbedField(m, h)
+	fm, err := m.WithField(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if big.N() != 3 {
-		t.Fatalf("embedded model has %d spins", big.N())
+	if m.HasField() || !fm.HasField() {
+		t.Fatal("WithField must install the field on a copy only")
 	}
-	// With ancilla fixed at +1, energies differ by the field term.
 	spins := []int8{1, -1}
-	withAncilla := append(append([]int8(nil), spins...), 1)
-	diff := big.Energy(withAncilla) - m.Energy(spins)
+	diff := fm.Energy(spins) - m.Energy(spins)
 	want := -(h[0]*1 + h[1]*(-1))
 	if math.Abs(diff-want) > 1e-12 {
 		t.Fatalf("field contribution %v, want %v", diff, want)
 	}
-	if _, err := EmbedField(m, []float64{1}); err == nil {
+	flipped := []int8{-1, -1}
+	if d := fm.EnergyDelta(spins, 0); math.Abs(d-(fm.Energy(flipped)-fm.Energy(spins))) > 1e-12 {
+		t.Fatalf("EnergyDelta %v disagrees with recomputation", d)
+	}
+	if _, err := m.WithField([]float64{1}); err == nil {
 		t.Fatal("mismatched field length must be rejected")
 	}
-}
-
-func TestNumberPartition(t *testing.T) {
-	nums := []float64{3, 1, 1, 2, 2, 1}
-	m := NumberPartition(nums)
-	// Exhaustive ground-state search.
-	best := math.Inf(1)
-	var bestSpins []int8
-	spins := make([]int8, len(nums))
-	for mask := 0; mask < 1<<len(nums); mask++ {
-		for i := range spins {
-			if mask&(1<<i) != 0 {
-				spins[i] = 1
-			} else {
-				spins[i] = -1
-			}
-		}
-		if e := m.Energy(spins); e < best {
-			best = e
-			bestSpins = append([]int8(nil), spins...)
-		}
+	if _, err := m.WithField([]float64{1, math.NaN()}); err == nil {
+		t.Fatal("non-finite field must be rejected")
 	}
-	// Total is 10, so a perfect partition (imbalance 0) exists: {3,2} vs {1,1,2,1}.
-	if PartitionImbalance(nums, bestSpins) != 0 {
-		t.Fatalf("ground state imbalance %v, want 0", PartitionImbalance(nums, bestSpins))
-	}
-}
-
-func TestPartitionImbalancePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	PartitionImbalance([]float64{1}, []int8{1, 1})
 }
 
 func TestIntegerCouplings(t *testing.T) {
@@ -294,8 +217,5 @@ func TestIntegerCouplings(t *testing.T) {
 	big.Set(1, 0, math.Exp2(60))
 	if mustModel(t, big).IntegerCouplings() {
 		t.Fatal("oversized integer coupling must not report exact")
-	}
-	if !NumberPartition([]float64{3, 5, 8}).IntegerCouplings() {
-		t.Fatal("small integer number-partition model must qualify")
 	}
 }

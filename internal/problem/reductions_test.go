@@ -56,6 +56,14 @@ func TestNumberPartitionGolden(t *testing.T) {
 	if !sol.Feasible {
 		t.Fatal("number partitioning is always feasible")
 	}
+	if _, err := p.Decode([]int8{1, -1}); err == nil {
+		t.Fatal("decoding fewer spins than numbers must fail")
+	}
+	// K_ij = -2aᵢaⱼ stays integral for integer inputs, so the solver's
+	// incremental energy tracking is exact on this model.
+	if c, err := Compile(&NumberPartition{Numbers: []float64{3, 5, 8}}); err != nil || !c.Model.IntegerCouplings() {
+		t.Fatalf("small integer number-partition model must report integer couplings (err %v)", err)
+	}
 }
 
 // TestPartitionGolden: two triangles bridged by a single edge. The
@@ -80,6 +88,96 @@ func TestPartitionGolden(t *testing.T) {
 	ps := sol.Assignment.(*PartitionSolution)
 	if ps.Sides[0] != ps.Sides[1] || ps.Sides[1] != ps.Sides[2] {
 		t.Fatalf("triangle {0,1,2} split across sides: %v", ps.Sides)
+	}
+}
+
+// pathGraph returns the unit-weight path 0-1-...-(n-1).
+func pathGraph(n int) *graph.Graph {
+	g := graph.New(n)
+	for v := 0; v+1 < n; v++ {
+		g.AddEdge(v, v+1, 1)
+	}
+	return g
+}
+
+// decodeMin brute-forces the problem's ground state and decodes it.
+func decodeMin(t *testing.T, p Problem) *Solution {
+	t.Helper()
+	best, _ := bruteForceMin(t, p)
+	sol, err := p.Decode(best)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sol
+}
+
+// TestVertexCoverGolden: the 5-path's only minimum cover is {1,3}; a
+// triangle needs two nodes. Decoding a non-cover reports the
+// uncovered edges.
+func TestVertexCoverGolden(t *testing.T) {
+	sol := decodeMin(t, &VertexCover{G: pathGraph(5)})
+	if got := sol.Assignment.(*VertexSetSolution).Vertices; !sol.Feasible || len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("5-path ground state decodes to %v (feasible=%v), want the cover [1 3]", got, sol.Feasible)
+	}
+	if sol.Objective != 2 { //sophielint:ignore floateq set sizes are integral
+		t.Fatalf("objective %v, want the cover size 2", sol.Objective)
+	}
+	g := graph.New(3)
+	g.AddEdge(0, 1, 1)
+	g.AddEdge(1, 2, 1)
+	g.AddEdge(0, 2, 1)
+	if sol := decodeMin(t, &VertexCover{G: g}); !sol.Feasible || sol.Objective != 2 { //sophielint:ignore floateq set sizes are integral
+		t.Fatalf("triangle ground state: objective %v, feasible=%v; want a 2-node cover", sol.Objective, sol.Feasible)
+	}
+	// {0} leaves edges (1,2) and (2,3) of the 4-path uncovered.
+	bad, err := (&VertexCover{G: pathGraph(4)}).Decode([]int8{1, -1, -1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.Feasible || len(bad.Violations) != 2 {
+		t.Fatalf("{0} on a 4-path: feasible=%v, violations %v; want 2 uncovered edges", bad.Feasible, bad.Violations)
+	}
+	if _, err := (&VertexCover{G: graph.New(0)}).Lower(); err == nil {
+		t.Fatal("empty graph must be rejected")
+	}
+}
+
+// TestIndependentSetGolden: the 5-path's only maximum independent set
+// is {0,2,4}; two adjacent nodes decode infeasible.
+func TestIndependentSetGolden(t *testing.T) {
+	sol := decodeMin(t, &IndependentSet{G: pathGraph(5)})
+	if got := sol.Assignment.(*VertexSetSolution).Vertices; !sol.Feasible || len(got) != 3 || got[0] != 0 || got[1] != 2 || got[2] != 4 {
+		t.Fatalf("5-path ground state decodes to %v (feasible=%v), want [0 2 4]", got, sol.Feasible)
+	}
+	bad, err := (&IndependentSet{G: pathGraph(3)}).Decode([]int8{1, 1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad.Feasible {
+		t.Fatal("{0,1} on a path is not independent")
+	}
+	if _, err := (&IndependentSet{}).Lower(); err == nil {
+		t.Fatal("missing graph must be rejected")
+	}
+}
+
+// TestIndependentSetComplementsVertexCover: the complement of a
+// minimum cover is a maximum independent set, so on any graph the two
+// optima add up to n.
+func TestIndependentSetComplementsVertexCover(t *testing.T) {
+	for _, seed := range []int64{44, 45, 46} {
+		g, err := graph.Random(10, 18, graph.WeightUnit, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cover := decodeMin(t, &VertexCover{G: g})
+		set := decodeMin(t, &IndependentSet{G: g})
+		if !cover.Feasible || !set.Feasible {
+			t.Fatalf("seed %d: ground states infeasible: cover %v, set %v", seed, cover.Violations, set.Violations)
+		}
+		if cover.Objective+set.Objective != float64(g.N()) { //sophielint:ignore floateq set sizes are integral
+			t.Fatalf("seed %d: min cover %v + max independent set %v != %d nodes", seed, cover.Objective, set.Objective, g.N())
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"sophie/internal/graph"
 )
@@ -57,12 +58,35 @@ type specGraph struct {
 	Edges [][3]float64 `json:"edges"`
 }
 
-func (sg *specGraph) build(field string) (*graph.Graph, *SpecError) {
-	if sg.N <= 0 || sg.N > maxSpecVars {
-		return nil, specErr(field+".n", "bad_order", "graph order %d out of range [1, %d]", sg.N, maxSpecVars)
+// checkGraphBudget holds a graph of order n with m edges to the spec
+// limits.
+func checkGraphBudget(field string, n, m int) *SpecError {
+	if n <= 0 || n > maxSpecVars {
+		return specErr(field+".n", "bad_order", "graph order %d out of range [1, %d]", n, maxSpecVars)
 	}
-	if len(sg.Edges) > maxSpecEntries {
-		return nil, specErr(field+".edges", "too_large", "%d edges exceeds limit %d", len(sg.Edges), maxSpecEntries)
+	if m > maxSpecEntries {
+		return specErr(field+".edges", "too_large", "%d edges exceeds limit %d", m, maxSpecEntries)
+	}
+	return nil
+}
+
+// ReadMaxCut parses a GSET-format graph (graph.Read) into the max-cut
+// front end, under the same order and edge budget as a spec graph.
+// field names the source in the returned *SpecError.
+func ReadMaxCut(r io.Reader, field string) (*MaxCut, error) {
+	g, err := graph.Read(r)
+	if err != nil {
+		return nil, specErr(field, "bad_graph", "%v", err)
+	}
+	if serr := checkGraphBudget(field, g.N(), g.M()); serr != nil {
+		return nil, serr
+	}
+	return &MaxCut{G: g}, nil
+}
+
+func (sg *specGraph) build(field string) (*graph.Graph, *SpecError) {
+	if serr := checkGraphBudget(field, sg.N, len(sg.Edges)); serr != nil {
+		return nil, serr
 	}
 	g := graph.New(sg.N)
 	for i, e := range sg.Edges {

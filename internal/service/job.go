@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"sophie/internal/core"
-	"sophie/internal/graph"
 	"sophie/internal/ising"
 	"sophie/internal/metrics"
 	"sophie/internal/problem"
@@ -33,15 +32,16 @@ func (s State) Terminal() bool {
 }
 
 // JobSpec is the submission payload of POST /v1/jobs: one problem
-// source (inline GSET text, a file reference under the server's problem
-// directory, or a named preset), a replica/seed policy, an optional
-// per-job timeout, and runtime/preprocessing config overrides.
+// source (a typed problem spec, inline GSET text, a file reference
+// under the server's problem directory, or a named preset), a
+// replica/seed policy, an optional per-job timeout, and
+// runtime/preprocessing config overrides.
 type JobSpec struct {
 	// Exactly one of Graph, GraphFile, Preset, Problem selects the
-	// problem. The first three are max-cut sources; Problem is the
-	// typed problem-spec union (internal/problem.ParseSpec) compiled
-	// through the QUBO/Ising front end, with the decoded domain
-	// solution attached to the result.
+	// problem. The first three are max-cut sources, lowered as
+	// problem.MaxCut; Problem is the typed problem-spec union
+	// (internal/problem.ParseSpec). Every source compiles through the
+	// problem front end, and the result carries the decoded solution.
 	Graph     string          `json:"graph,omitempty"`      // inline GSET text ("n m" header + "u v w" edges)
 	GraphFile string          `json:"graph_file,omitempty"` // file under the server's -problem-dir
 	Preset    string          `json:"preset,omitempty"`     // G1 | G22 | K100
@@ -116,11 +116,8 @@ type job struct {
 	id     string
 	tenant string
 	spec   JobSpec
-	// g is the parsed graph for max-cut submissions and nil for typed
-	// problem-spec jobs, which carry the front end in prob instead;
-	// offset recovers the domain objective from a model energy
-	// (problem.Compiled.Offset, zero for graph jobs).
-	g      *graph.Graph
+	// prob is the job's front end; offset recovers the domain
+	// objective from a model energy (problem.Compiled.Offset).
 	prob   problem.Problem
 	offset float64
 	model  *ising.Model
@@ -180,20 +177,16 @@ type JobView struct {
 }
 
 // ResultView is the JSON rendering of a finished (or partially
-// finished) batch: the aggregate plus one entry per replica. For graph
-// (max-cut) jobs cut values are computed against the job's graph; for
-// typed problem-spec jobs Objective and Solution carry the decoded
-// domain answer instead and the cut fields stay zero.
+// finished) batch: the aggregate plus one entry per replica, each with
+// its decoded domain objective.
 type ResultView struct {
 	BestEnergy float64 `json:"best_energy"`
-	BestCut    float64 `json:"best_cut"`
-	// BestObjective is the domain objective of the best spins
-	// (model energy + compile offset folded through Decode); only set
-	// for problem-spec jobs.
+	// BestObjective is the domain objective of the best spins (the cut
+	// weight for max-cut), read from the decoded Solution.
 	BestObjective *float64 `json:"best_objective,omitempty"`
 	// Solution is the decoded domain solution of the best spins, and
 	// EnergyOffset the compile-time constant relating model energies to
-	// domain objectives (f = H + offset); problem-spec jobs only.
+	// domain objectives (f = H + offset).
 	Solution     *problem.Solution `json:"solution,omitempty"`
 	EnergyOffset float64           `json:"energy_offset,omitempty"`
 	BestIndex    int               `json:"best_index"`
@@ -226,9 +219,11 @@ type TemperingView struct {
 
 // ReplicaView summarizes one replica of a job's batch.
 type ReplicaView struct {
-	Seed           int64   `json:"seed"`
-	BestEnergy     float64 `json:"best_energy"`
-	BestCut        float64 `json:"best_cut"`
+	Seed       int64   `json:"seed"`
+	BestEnergy float64 `json:"best_energy"`
+	// Objective is the decoded domain objective of the replica's best
+	// spins.
+	Objective      float64 `json:"objective"`
 	BestGlobalIter int     `json:"best_global_iter"`
 	GlobalItersRun int     `json:"global_iters_run"`
 	ReachedTarget  bool    `json:"reached_target,omitempty"`
@@ -282,20 +277,7 @@ func (j *job) resultView(b *core.BatchResult) *ResultView {
 		JobWorkers:   b.JobWorkers,
 		Replicas:     make([]ReplicaView, len(b.Results)),
 		Ops:          b.Ops,
-	}
-	if j.g != nil {
-		rv.BestCut = j.g.CutValue(best.BestSpins)
-	}
-	if j.prob != nil {
-		rv.EnergyOffset = j.offset
-		// Decode never mutates the front end, so rendering concurrent
-		// views is safe; a decode failure (impossible for spins the
-		// solver produced) degrades to an energy-only view.
-		if sol, err := j.prob.Decode(best.BestSpins); err == nil {
-			rv.Solution = sol
-			obj := sol.Objective
-			rv.BestObjective = &obj
-		}
+		EnergyOffset: j.offset,
 	}
 	for i, r := range b.Results {
 		rv.Replicas[i] = ReplicaView{
@@ -306,8 +288,15 @@ func (j *job) resultView(b *core.BatchResult) *ResultView {
 			ReachedTarget:  r.ReachedTarget,
 			Stopped:        r.Stopped,
 		}
-		if j.g != nil {
-			rv.Replicas[i].BestCut = j.g.CutValue(r.BestSpins)
+		// Decode never mutates the front end, so rendering concurrent
+		// views is safe; a decode failure (impossible for spins the
+		// solver produced) degrades to an energy-only entry.
+		if sol, err := j.prob.Decode(r.BestSpins); err == nil {
+			rv.Replicas[i].Objective = sol.Objective
+			if i == b.BestIndex {
+				obj := sol.Objective
+				rv.Solution, rv.BestObjective = sol, &obj
+			}
 		}
 	}
 	if ts := b.Tempering; ts != nil {

@@ -162,6 +162,9 @@ func TestJobBitIdenticalToDirectRunBatch(t *testing.T) {
 	if v.Result.Ops != want.Ops {
 		t.Errorf("op counts: service %+v, direct %+v", v.Result.Ops, want.Ops)
 	}
+	if wantCut := graph.KGraph(24).CutValue(want.Best().BestSpins); v.Result.BestObjective == nil || *v.Result.BestObjective != wantCut {
+		t.Errorf("best objective %v, want the cut %v", v.Result.BestObjective, wantCut)
+	}
 }
 
 func int8Bytes(s []int8) []byte {

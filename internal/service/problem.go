@@ -43,9 +43,9 @@ func wrapSpecError(serr *problem.SpecError) error {
 // every preprocessing-affecting config field. Jobs mapping to the same
 // key share one cached solver and differ only through WithRuntime.
 type solverKey struct {
-	// problem is a namespaced content hash: "graph:" + sha256 of the
-	// canonical GSET serialization for max-cut jobs, "model:" + sha256
-	// of the lowered model (couplings + field) for problem-spec jobs.
+	// problem is the sha256 of the lowered model (couplings + field),
+	// so every source lowering to the same Hamiltonian — a preset, an
+	// inline graph, or the equivalent maxcut spec — shares one entry.
 	problem       string
 	tileSize      int
 	alpha         float64
@@ -59,52 +59,23 @@ type solverKey struct {
 }
 
 // resolveSpec validates a submission and resolves it into the job's
-// immutable fields: parsed graph or compiled problem, Ising model,
-// seeds, configs, cache key, and batch options. All failures wrap
-// ErrBadSpec.
+// immutable fields: compiled problem, seeds, configs, cache key, and
+// batch options. All failures wrap ErrBadSpec.
 func (m *Manager) resolveSpec(spec JobSpec) (*job, error) {
-	var (
-		g       *graph.Graph
-		prob    problem.Problem
-		model   *ising.Model
-		offset  float64
-		keyName string
-	)
-	if len(spec.Problem) > 0 {
-		if spec.Graph != "" || spec.GraphFile != "" || spec.Preset != "" {
-			return nil, specErrorf("problem cannot combine with graph, graph_file, or preset")
+	prob, err := m.loadProblem(spec)
+	if err != nil {
+		var serr *problem.SpecError
+		if errors.As(err, &serr) {
+			return nil, wrapSpecError(serr)
 		}
-		p, err := problem.ParseSpec(spec.Problem)
-		if err != nil {
-			var serr *problem.SpecError
-			if errors.As(err, &serr) {
-				return nil, wrapSpecError(serr)
-			}
-			return nil, specErrorf("problem: %v", err)
-		}
-		c, err := problem.Compile(p)
-		if err != nil {
-			// Lower/Compile errors are semantic spec failures (bad clause
-			// index, non-finite weight, ...) — still 400s, labelled with
-			// the union field so clients know where to look.
-			return nil, wrapSpecError(&problem.SpecError{Field: "problem", Reason: "invalid", Msg: err.Error()})
-		}
-		prob, model, offset = p, c.Model, c.Offset
-		// Cache keys hash the lowered model, so distinct specs lowering
-		// to the same Hamiltonian share preprocessing; the "model:"
-		// namespace keeps them disjoint from graph-keyed entries.
-		keyName = "model:" + hashModel(model)
-	} else {
-		var err error
-		g, err = m.loadGraph(spec)
-		if err != nil {
-			return nil, err
-		}
-		if g.N() == 0 {
-			return nil, specErrorf("problem graph has no nodes")
-		}
-		model = ising.FromMaxCut(g)
-		keyName = "graph:" + hashGraph(g)
+		return nil, err
+	}
+	c, err := problem.Compile(prob)
+	if err != nil {
+		// Lower/Compile errors are semantic spec failures (bad clause
+		// index, non-finite weight, ...) — still 400s, labelled with
+		// the union field so clients know where to look.
+		return nil, wrapSpecError(&problem.SpecError{Field: "problem", Reason: "invalid", Msg: err.Error()})
 	}
 
 	seeds := spec.Seeds
@@ -181,34 +152,31 @@ func (m *Manager) resolveSpec(spec JobSpec) (*job, error) {
 		baseCfg.Seed = 0
 	}
 
-	if !model.HasDense() && !baseCfg.SkipTransform {
+	if !c.Model.HasDense() && !baseCfg.SkipTransform {
 		// The compiler builds large lowered models CSR-only; reject at
 		// admission with the fix spelled out rather than failing the job
 		// at execution time.
-		return nil, specErrorf("problem lowers to %d variables and is sparse-built; set config.skip_transform", model.N())
+		return nil, specErrorf("problem lowers to %d variables and is sparse-built; set config.skip_transform", c.Model.N())
 	}
-	if prob != nil {
-		if init, ok := prob.(problem.Initializer); ok {
-			if s0 := init.InitialSpins(); s0 != nil {
-				// Probe starts are a runtime knob (core reseeds per run), so
-				// they ride runCfg only — the cached solver stays shareable
-				// with probe-free jobs on the same model.
-				runCfg.InitialSpins = s0
-			}
+	if init, ok := prob.(problem.Initializer); ok {
+		if s0 := init.InitialSpins(); s0 != nil {
+			// Probe starts are a runtime knob (core reseeds per run), so
+			// they ride runCfg only — the cached solver stays shareable
+			// with probe-free jobs on the same model.
+			runCfg.InitialSpins = s0
 		}
 	}
 
 	j := &job{
 		spec:    spec,
-		g:       g,
 		prob:    prob,
-		offset:  offset,
-		model:   model,
+		offset:  c.Offset,
+		model:   c.Model,
 		baseCfg: baseCfg,
 		runCfg:  runCfg,
 		seeds:   seeds,
 		key: solverKey{
-			problem:       keyName,
+			problem:       hashModel(c.Model),
 			tileSize:      baseCfg.TileSize,
 			alpha:         baseCfg.Alpha,
 			skipTransform: baseCfg.SkipTransform,
@@ -243,36 +211,31 @@ func (m *Manager) resolveSpec(spec JobSpec) (*job, error) {
 	return j, nil
 }
 
-// loadGraph resolves the problem source: exactly one of inline text, a
-// file under the configured problem directory, or a named preset.
-func (m *Manager) loadGraph(spec JobSpec) (*graph.Graph, error) {
+// loadProblem resolves the submission's one problem source into a
+// compiler front end: a typed spec, or a max-cut graph given as inline
+// GSET text, a file under the configured problem directory, or a named
+// preset. Graph sources are held to the spec graph budget.
+func (m *Manager) loadProblem(spec JobSpec) (problem.Problem, error) {
 	sources := 0
-	for _, set := range []bool{spec.Graph != "", spec.GraphFile != "", spec.Preset != ""} {
+	for _, set := range []bool{spec.Graph != "", spec.GraphFile != "", spec.Preset != "", len(spec.Problem) > 0} {
 		if set {
 			sources++
 		}
 	}
 	if sources != 1 {
-		return nil, specErrorf("need exactly one of graph, graph_file, preset (got %d)", sources)
+		return nil, specErrorf("need exactly one of graph, graph_file, preset, problem (got %d)", sources)
 	}
 	switch {
+	case len(spec.Problem) > 0:
+		return problem.ParseSpec(spec.Problem)
 	case spec.Graph != "":
-		g, err := graph.Read(strings.NewReader(spec.Graph))
-		if err != nil {
-			return nil, specErrorf("inline graph: %v", err)
-		}
-		return g, nil
+		return problem.ReadMaxCut(strings.NewReader(spec.Graph), "graph")
 	case spec.Preset != "":
-		switch spec.Preset {
-		case "G1":
-			return graph.G1Standin(), nil
-		case "G22":
-			return graph.G22Standin(), nil
-		case "K100":
-			return graph.KGraph(100), nil
-		default:
-			return nil, specErrorf("unknown preset %q (want G1, G22, or K100)", spec.Preset)
+		g, err := graph.Preset(spec.Preset)
+		if err != nil {
+			return nil, specErrorf("%v", err)
 		}
+		return &problem.MaxCut{G: g}, nil
 	default:
 		if m.cfg.ProblemDir == "" {
 			return nil, specErrorf("graph_file submissions are disabled (server has no problem directory)")
@@ -286,11 +249,7 @@ func (m *Manager) loadGraph(spec JobSpec) (*graph.Graph, error) {
 		}
 		// Read path: a close error cannot corrupt anything already parsed.
 		defer func() { _ = f.Close() }()
-		g, err := graph.Read(f)
-		if err != nil {
-			return nil, specErrorf("graph_file %q: %v", spec.GraphFile, err)
-		}
-		return g, nil
+		return problem.ReadMaxCut(f, "graph_file")
 	}
 }
 
@@ -359,17 +318,6 @@ func buildConfig(o ConfigOverrides, seed int64) (core.Config, error) {
 		return cfg, specErrorf("config: %v", err)
 	}
 	return cfg, nil
-}
-
-// hashGraph returns the hex sha256 of the graph's canonical GSET
-// serialization (sorted edge order), the problem component of solver
-// cache keys: equal problems hash equal regardless of input edge order
-// or formatting.
-func hashGraph(g *graph.Graph) string {
-	h := sha256.New()
-	// Write on a hash never fails.
-	_ = graph.Write(h, g)
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // hashModel returns the hex sha256 of the lowered Ising model's

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"sophie/internal/graph"
 	"sophie/internal/problem"
 )
 
@@ -68,9 +69,6 @@ func TestProblemJobsEndToEnd(t *testing.T) {
 				t.Error("problem job result has no best_objective")
 			} else if *r.BestObjective != r.Solution.Objective { //sophielint:ignore floateq both fields are written from the same Decode call
 				t.Errorf("best_objective %v != solution objective %v", *r.BestObjective, r.Solution.Objective)
-			}
-			if r.BestCut != 0 { //sophielint:ignore floateq cut fields must stay exactly zero for non-graph jobs
-				t.Errorf("problem job leaked a cut value %v", r.BestCut)
 			}
 			if len(r.BestSpins) == 0 {
 				t.Error("result carries no spins")
@@ -156,50 +154,72 @@ func TestProblemJobDefaultWidthMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestProblemCacheNamespaces pins the cache-key contract: a graph
-// submission and a problem-spec submission of the SAME max-cut instance
-// must occupy different cache entries ("graph:" vs "model:"
-// namespaces), while two specs lowering to the same Hamiltonian share
-// one ("model:" keys hash lowered content, not spelling).
+// TestProblemCacheNamespaces pins the cache-key contract: every source
+// keys on its lowered model. A preset, the same graph inline, and the
+// equivalent maxcut spec share one key, as do two spellings of one
+// QUBO; a different weight splits the key, and a fielded model never
+// collides with a field-free one on the same couplings.
 func TestProblemCacheNamespaces(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1})
+	key := func(spec JobSpec) solverKey {
+		t.Helper()
+		j, err := m.resolveSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.key
+	}
+	keyOf := func(doc string) solverKey { return key(problemSpec(doc)) }
 
-	jd, err := m.resolveSpec(problemSpec(`{"type":"maxcut","graph":{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1],[3,0,1]]}}`))
-	if err != nil {
-		t.Fatal(err)
+	var edges []string
+	for _, e := range graph.KGraph(100).Edges() {
+		edges = append(edges, fmt.Sprintf("[%d,%d,%g]", e.U, e.V, e.Weight))
 	}
-	gspec := fastSpec(t)
-	jg, err := m.resolveSpec(gspec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(jd.key.problem, "model:") {
-		t.Errorf("problem-spec key %q lacks model: namespace", jd.key.problem)
-	}
-	if !strings.HasPrefix(jg.key.problem, "graph:") {
-		t.Errorf("graph key %q lacks graph: namespace", jg.key.problem)
+	spec := keyOf(`{"type":"maxcut","graph":{"n":100,"edges":[` + strings.Join(edges, ",") + `]}}`)
+	preset := problemSpec("")
+	preset.Preset = "K100"
+	inline := problemSpec("")
+	inline.Graph = inlineGraph(t, 100)
+	if key(preset) != spec || key(inline) != spec {
+		t.Error("preset, inline graph and maxcut spec of K100 produced distinct keys")
 	}
 
-	// Same QUBO spelled with transposed entries: identical lowered model,
-	// identical cache key.
-	ja, err := m.resolveSpec(problemSpec(`{"type":"qubo","n":3,"entries":[[0,1,-2],[1,2,1]]}`))
-	if err != nil {
-		t.Fatal(err)
+	qubo := keyOf(`{"type":"qubo","n":3,"entries":[[0,1,-2],[1,2,1]]}`)
+	if keyOf(`{"type":"qubo","n":3,"entries":[[1,0,-2],[2,1,1]]}`) != qubo {
+		t.Error("transposed QUBO entries produced distinct keys")
 	}
-	jb, err := m.resolveSpec(problemSpec(`{"type":"qubo","n":3,"entries":[[1,0,-2],[2,1,1]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ja.key != jb.key {
-		t.Errorf("transposed QUBO entries produced distinct keys:\n%q\n%q", ja.key.problem, jb.key.problem)
-	}
-	// A genuinely different weight must split the key.
-	jc, err := m.resolveSpec(problemSpec(`{"type":"qubo","n":3,"entries":[[0,1,-2],[1,2,1.5]]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jc.key == ja.key {
+	if keyOf(`{"type":"qubo","n":3,"entries":[[0,1,-2],[1,2,1.5]]}`) == qubo {
 		t.Error("different QUBO weights collided on one cache key")
+	}
+	// Both lower to K_01 = 1; the diagonal terms cancel the field of the
+	// first, so only the second carries one.
+	if keyOf(`{"type":"qubo","n":2,"entries":[[0,1,-4],[0,0,2],[1,1,2]]}`) == keyOf(`{"type":"qubo","n":2,"entries":[[0,1,-4]]}`) {
+		t.Error("fielded and field-free models collided on one cache key")
+	}
+}
+
+// TestReplicaObjectivesDecode: each replica's reported objective is
+// the decoded objective of that replica's own best spins.
+func TestReplicaObjectivesDecode(t *testing.T) {
+	m := newTestManager(t, Config{Workers: 1})
+	spec := problemSpec(`{"type":"maxsat","vars":5,"clauses":[{"lits":[1,2,3]},{"lits":[-1,4]},{"lits":[-2,-3,5],"weight":2},{"lits":[-4,-5]},{"lits":[-1,-2]}]}`)
+	spec.Seeds = []int64{1, 2, 3, 4}
+	v, err := m.Submit(spec)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	v = waitState(t, m, v.ID, StateDone)
+	m.mu.Lock()
+	j := m.jobs[v.ID]
+	m.mu.Unlock()
+	for i, r := range j.result.Results {
+		sol, err := j.prob.Decode(r.BestSpins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := v.Result.Replicas[i].Objective; got != sol.Objective { //sophielint:ignore floateq both sides come from the same Decode arithmetic
+			t.Errorf("replica %d: objective %v, decoded %v", i, got, sol.Objective)
+		}
 	}
 }
 
@@ -345,5 +365,27 @@ func TestProblemJobSurvivesSnapshotRestore(t *testing.T) {
 	}
 	if len(np.Sides) != 5 {
 		t.Errorf("assignment sides %v, want 5 entries", np.Sides)
+	}
+}
+
+// TestGraphHeaderAdmissionBounded: an inline GSET header promising a
+// huge graph is rejected at admission with bounded allocation. Above
+// the compiler's dense limit a graph source needs skip_transform,
+// exactly like a maxcut spec; past the spec order budget it is out of
+// range. Admission must never densify the n² couplings.
+func TestGraphHeaderAdmissionBounded(t *testing.T) {
+	srv, _ := testServer(t, Config{Workers: 1})
+	for _, header := range []string{"12000 0\n", "4194305 0\n"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		resp := postJSON(t, srv.URL+"/v1/jobs", JobSpec{Graph: header})
+		_ = resp.Body.Close()
+		runtime.ReadMemStats(&after)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("header %q: status %d, want 400", header, resp.StatusCode)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > 16<<20 {
+			t.Errorf("header %q: admission allocated %d MiB, want < 16", header, d>>20)
+		}
 	}
 }

@@ -129,8 +129,8 @@ func TestServerEndToEndBitIdentical(t *testing.T) {
 		}
 	}
 	wantCut := graph.KGraph(20).CutValue(want.Best().BestSpins)
-	if v.Result.BestCut != wantCut {
-		t.Errorf("best cut %v, want %v", v.Result.BestCut, wantCut)
+	if v.Result.BestObjective == nil || *v.Result.BestObjective != wantCut {
+		t.Errorf("best objective %v, want the cut %v", v.Result.BestObjective, wantCut)
 	}
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Smoke-test the sophied daemon end to end against the real binaries:
 # start it, submit a K100 job over HTTP, poll to completion, check the
-# best cut matches a direct cmd/sophie run with the same seeds and
+# best objective (the cut weight) matches a direct cmd/sophie run with
+# the same seeds and
 # config (the Go test suite proves bit-identity; this proves the shipped
 # binary and HTTP plumbing agree with it), watch the job's SSE stream,
 # then drain with SIGTERM. A second leg kill -9s a WAL-backed daemon
@@ -43,13 +44,13 @@ for _ in $(seq 1 200); do
 done
 [ "$STATE" = done ] || { echo "job never finished (last state: $STATE)"; exit 1; }
 
-SERVICE_CUT=$(echo "$BODY" | grep -o '"best_cut":[0-9.eE+-]*' | head -1 | cut -d: -f2)
-DIRECT_CUT=$(./bin/sophie -preset K100 -tile 32 -global 30 -phi 0.2 -replicas 2 -seed 7 \
-  | sed -n 's/^batch: best cut \([0-9.]*\).*/\1/p')
-echo "service best cut: $SERVICE_CUT, direct best cut: $DIRECT_CUT"
-[ -n "$SERVICE_CUT" ] && [ -n "$DIRECT_CUT" ] || { echo "could not extract cuts"; exit 1; }
-awk -v a="$SERVICE_CUT" -v b="$DIRECT_CUT" 'BEGIN { exit (a == b) ? 0 : 1 }' \
-  || { echo "FAIL: service and direct cuts differ"; exit 1; }
+SERVICE_OBJ=$(echo "$BODY" | grep -o '"best_objective":[0-9.eE+-]*' | head -1 | cut -d: -f2)
+DIRECT_OBJ=$(./bin/sophie -preset K100 -tile 32 -global 30 -phi 0.2 -replicas 2 -seed 7 \
+  | sed -n 's/^batch: best objective \([0-9.]*\).*/\1/p')
+echo "service best objective: $SERVICE_OBJ, direct best objective: $DIRECT_OBJ"
+[ -n "$SERVICE_OBJ" ] && [ -n "$DIRECT_OBJ" ] || { echo "could not extract objectives"; exit 1; }
+awk -v a="$SERVICE_OBJ" -v b="$DIRECT_OBJ" 'BEGIN { exit (a == b) ? 0 : 1 }' \
+  || { echo "FAIL: service and direct objectives differ"; exit 1; }
 
 curl -sf "http://$ADDR/metrics" | grep -q '"completed":1' \
   || { echo "metrics do not report the completed job"; exit 1; }

@@ -8,7 +8,9 @@
 // The package is a facade over the full implementation:
 //
 //   - graphs and benchmark instances (internal/graph)
-//   - the Ising model and problem reductions (internal/ising)
+//   - the Ising model (internal/ising) and the problem compiler that
+//     lowers QUBO, MAX-SAT, coloring, TSP, vertex cover and other
+//     problems onto it (internal/problem)
 //   - the reference PRIS algorithm (internal/pris)
 //   - the SOPHIE modified algorithm (internal/core)
 //   - the OPCM device model (internal/opcm)
@@ -38,6 +40,7 @@ import (
 	"sophie/internal/metrics"
 	"sophie/internal/opcm"
 	"sophie/internal/pris"
+	"sophie/internal/problem"
 	"sophie/internal/sched"
 	"sophie/internal/tiling"
 )
@@ -103,7 +106,7 @@ func WriteGraph(w io.Writer, g *Graph) error { return graph.Write(w, g) }
 
 // ---- Matrices ---------------------------------------------------------
 
-// Matrix is a dense row-major float64 matrix (the coupling/QUBO carrier).
+// Matrix is a dense row-major float64 matrix (the coupling carrier).
 type Matrix = linalg.Matrix
 
 // NewMatrix returns a zeroed rows × cols matrix.
@@ -133,40 +136,39 @@ func MaxCutSparse(g *Graph) *Model { return ising.FromMaxCutCSR(g) }
 // NewModel wraps a symmetric coupling matrix as an Ising model.
 func NewModel(k *linalg.Matrix) (*Model, error) { return ising.NewModel(k) }
 
-// NumberPartition builds the Ising model for two-way number partitioning.
-func NumberPartition(numbers []float64) *Model { return ising.NumberPartition(numbers) }
+// ---- Problem compiler ----------------------------------------------
 
-// PartitionImbalance evaluates a number-partitioning assignment.
-func PartitionImbalance(numbers []float64, spins []int8) float64 {
-	return ising.PartitionImbalance(numbers, spins)
-}
+// Problem front ends (internal/problem): each lowers onto one Ising
+// model with a native external field and decodes solver spins back to
+// a domain solution with a feasibility report (README "Problem
+// types"). ParseSpec reaches every spec type.
+type (
+	Problem  = problem.Problem
+	Compiled = problem.Compiled
+	Solution = problem.Solution
 
-// QUBO is a quadratic unconstrained binary optimization problem.
-type QUBO = ising.QUBO
+	QUBO            = problem.QUBO
+	QUBOEntry       = problem.QUBOEntry
+	Coloring        = problem.Coloring
+	NumberPartition = problem.NumberPartition
+	TSP             = problem.TSP
+	VertexCover     = problem.VertexCover
+	IndependentSet  = problem.IndependentSet
 
-// EmbedField folds an external field into a coupling matrix via an
-// ancilla spin, so field-bearing problems run on the field-free SOPHIE
-// recurrence.
-func EmbedField(m *Model, h []float64) (*Model, error) { return ising.EmbedField(m, h) }
+	BitsSolution            = problem.BitsSolution
+	ColoringSolution        = problem.ColoringSolution
+	NumberPartitionSolution = problem.NumberPartitionSolution
+	TourSolution            = problem.TourSolution
+	VertexSetSolution       = problem.VertexSetSolution
+)
 
-// Lucas-style QUBO reductions (vertex cover, k-coloring, TSP) with
-// their decoders and validators.
 var (
-	VertexCoverQUBO   = ising.VertexCoverQUBO
-	DecodeVertexCover = ising.DecodeVertexCover
-	IsVertexCover     = ising.IsVertexCover
-	ColoringQUBO      = ising.ColoringQUBO
-	DecodeColoring    = ising.DecodeColoring
-	IsProperColoring  = ising.IsProperColoring
-	TSPQUBO           = ising.TSPQUBO
-	// Maximum independent set (the vertex-cover complement).
-	MaxIndependentSetQUBO = ising.MaxIndependentSetQUBO
-	DecodeIndependentSet  = ising.DecodeIndependentSet
-	IsIndependentSet      = ising.IsIndependentSet
-	DecodeTour            = ising.DecodeTour
-	TourLength            = ising.TourLength
-	// SolveQUBOExhaustive enumerates tiny QUBOs exactly (tests/demos).
-	SolveQUBOExhaustive = ising.SolveQUBOExhaustive
+	// Compile lowers a problem and compiles it into an Ising model plus
+	// the offset relating model energies to domain objectives.
+	Compile = problem.Compile
+	// ParseSpec decodes a JSON problem spec (the "type"-tagged union
+	// that sophied and cmd/sophie accept) into a front end.
+	ParseSpec = problem.ParseSpec
 )
 
 // ---- SOPHIE solver --------------------------------------------------

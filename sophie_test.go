@@ -2,6 +2,7 @@ package sophie_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"sophie"
@@ -109,8 +110,14 @@ func TestFacadePPA(t *testing.T) {
 }
 
 func TestFacadeNumberPartition(t *testing.T) {
-	nums := []float64{5, 4, 3, 2, 1, 1}
-	m := sophie.NumberPartition(nums)
+	p, err := sophie.ParseSpec([]byte(`{"type":"numberpartition","numbers":[5,4,3,2,1,1]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := sophie.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := sophie.DefaultConfig()
 	cfg.TileSize = 8
 	cfg.GlobalIters = 80
@@ -123,13 +130,15 @@ func TestFacadeNumberPartition(t *testing.T) {
 	best := 1e18
 	for seed := int64(0); seed < 4; seed++ {
 		cfg.Seed = seed
-		res, err := sophie.Solve(m, cfg)
+		res, err := sophie.Solve(c.Model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if im := sophie.PartitionImbalance(nums, res.BestSpins); im < best {
-			best = im
+		sol, err := p.Decode(res.BestSpins)
+		if err != nil {
+			t.Fatal(err)
 		}
+		best = math.Min(best, sol.Assignment.(*sophie.NumberPartitionSolution).Difference)
 	}
 	// Total is 16; a perfect split exists. Accept near-perfect.
 	if best > 2 {
@@ -209,20 +218,30 @@ func TestFacadeMatrixAndTSP(t *testing.T) {
 	d.Set(2, 1, 2)
 	d.Set(0, 2, 2)
 	d.Set(2, 0, 2)
-	q, err := sophie.TSPQUBO(d, 5)
+	p := &sophie.TSP{Dist: [][]float64{d.Row(0), d.Row(1), d.Row(2)}}
+	c, err := sophie.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, _, err := sophie.SolveQUBOExhaustive(q)
+	// Exhaustive ground state of the 9-spin model.
+	n := c.Model.N()
+	spins, best := make([]int8, n), make([]int8, n)
+	bestE := math.Inf(1)
+	for mask := 0; mask < 1<<n; mask++ {
+		for i := range spins {
+			spins[i] = int8(2*(mask>>i&1) - 1)
+		}
+		if e := c.Model.Energy(spins); e < bestE {
+			bestE = e
+			copy(best, spins)
+		}
+	}
+	sol, err := p.Decode(best)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tour, err := sophie.DecodeTour(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sophie.TourLength(d, tour) != 5 {
-		t.Fatalf("3-city tour length %v, want 5", sophie.TourLength(d, tour))
+	if !sol.Feasible || sol.Objective != 5 { //sophielint:ignore floateq integer distances sum exactly
+		t.Fatalf("3-city ground state: tour length %v (feasible=%v), want a length-5 tour", sol.Objective, sol.Feasible)
 	}
 }
 
