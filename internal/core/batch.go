@@ -194,7 +194,7 @@ func (s *Solver) RunBatchCtx(ctx context.Context, seeds []int64, opts BatchOptio
 				results[j], errs[j] = r, err
 				return
 			}
-			r, err := runner.newRunContext(ctx, seeds[j], stop).run(seeds[j])
+			r, err := runner.runJob(ctx, seeds[j], stop)
 			if err == nil && stop != nil && r.ReachedTarget {
 				stop.raise()
 			}
@@ -230,7 +230,7 @@ func (s *Solver) cancelledResult(seed int64) (*Result, error) {
 	}
 	pre := &batchStop{}
 	pre.raise()
-	return zero.newRunContext(nil, seed, pre).run(seed)
+	return zero.runJob(nil, seed, pre)
 }
 
 // aggregate folds per-replica results into a BatchResult.

@@ -1,13 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 
+	"sophie/internal/linalg"
 	"sophie/internal/metrics"
-	"sophie/internal/trace"
 )
 
 // Colored parallel update (Config.ColoredUpdate).
@@ -24,15 +21,26 @@ import (
 // product y = C·s is patched with the flipped spins' adjacency rows in
 // O(flips·degree).
 //
+// The sweep is the local update of a diagonal tile pair inside the one
+// run loop (jobRun, driven by lockstep): each diagonal pair colors its
+// own CSR tile once in NewSolver and sweeps its row block against
+// y + offRow, where the offset vector carries the rest of the row's
+// couplings exactly as on the default datapath. Off-diagonal pairs keep
+// the default delta update, and the controller (load, synchronization,
+// evaluation) is shared, so a colored run tiles and tempers like any
+// other. On a single tile with integer couplings the offset is exactly
+// zero, so pair 0's trajectory is the plain chromatic sweep over the
+// whole model (pinned by TestColoredUpdateGolden).
+//
 // Determinism at any worker count rests on three invariants:
 //  1. Noise is stateless: each (step, spin) pair derives its normal
-//     deviate from the splitmix64 stream (seed, roleColored) — there is
-//     no RNG state to migrate between workers.
-//  2. Threshold writes are sharded by spin: each worker owns a
+//     deviate from the pair's splitmix64 stream (seed, roleColored,
+//     pair) — there is no RNG state to migrate between workers.
+//  2. Threshold writes are sharded by spin: each shard owns a
 //     contiguous chunk of the class, and chunks are concatenated in
 //     class order, so the merged flip list is always the ascending-spin
-//     order regardless of which worker finished first.
-//  3. Flip application is sharded by output range: every worker applies
+//     order regardless of which shard finished first.
+//  3. Flip application is sharded by output range: every shard applies
 //     the same ascending flip sequence restricted to its own disjoint
 //     slice of y (linalg.AccumulateFlipRange), so each element of y
 //     receives the same additions in the same order as a serial sweep.
@@ -41,9 +49,17 @@ import (
 // default update — this is a different algorithm, not a reimplementation
 // — so colored runs are pinned for worker-count independence, not for
 // bit-identity with the dense path. Op accounting keeps the standard
-// event spine (one diagonal LocalBatch per global iteration), which
-// over-charges MVM work relative to the O(flips·degree) sweeps; the PPA
-// numbers for colored runs are upper bounds.
+// event spine (one LocalBatch per selected pair per global iteration),
+// which over-charges MVM work relative to the O(flips·degree) sweeps;
+// the PPA numbers for colored runs are upper bounds.
+
+// coloredTile is one diagonal pair's colored-update state, built once
+// per solver: the pair's symmetric CSR tile and the greedy coloring of
+// its sparsity graph (tile-local spin indices).
+type coloredTile struct {
+	tile    *linalg.CSR
+	classes [][]int
+}
 
 // coloredNormal returns the standard normal deviate of (step, spin) on
 // the given stream: two splitmix64 mixes separate the dimensions, two
@@ -56,237 +72,94 @@ func coloredNormal(stream, step, spin uint64) float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// runColored executes one job with the chromatic parallel update. It
-// requires the single-tile sparse datapath (enforced by NewSolver).
-func (s *runContext) runColored(seed int64) (*Result, error) {
-	cfg := s.cfg
-	grid := s.grid
-	csr := s.coloredTile
-	classes := s.classes
-	paddedN := grid.PaddedN()
-	n := s.model.N()
-	ctrl := rand.New(rand.NewSource(seedStream(seed, roleController, 0)))
-	stream := uint64(seedStream(seed, roleColored, 0))
-
-	sGlobal := make([]float64, paddedN)
-	if cfg.InitialSpins != nil {
-		if len(cfg.InitialSpins) != n {
-			return nil, fmt.Errorf("core: %d initial spins for %d-spin model", len(cfg.InitialSpins), n)
-		}
-		for i, sp := range cfg.InitialSpins {
-			if sp == 1 {
-				sGlobal[i] = 1
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if ctrl.Intn(2) == 1 {
-				sGlobal[i] = 1
-			}
-		}
+// sweepColored runs the local iterations of diagonal pair pi with the
+// colored update, sharding each phase over the job's PE pool. yRow is
+// re-anchored with an exact product at local iteration 0 (and every
+// deltaRefresh iterations), and the pair publishes the exact product
+// of its final block as its partial sum, like the delta path.
+func (j *jobRun) sweepColored(pi int) {
+	rc := j.rc
+	cfg := &rc.cfg
+	st := j.states[pi]
+	ct := rc.colored[pi]
+	lo, _ := rc.grid.BlockRange(rc.pairs[pi].Row)
+	x, y, off := st.xRow, st.yRow, st.offRow
+	t := len(x)
+	th := rc.thresholds[lo : lo+t]
+	scale := rc.noiseScale[lo : lo+t]
+	stream := uint64(seedStream(j.seed, roleColored, pi))
+	phi := j.phi
+	workers := min(j.pool.width, t)
+	if len(st.chunkFlips) < workers {
+		st.chunkFlips = make([][]int, workers)
+		st.chunkSigns = make([][]float64, workers)
 	}
-
-	run := trace.NewRun(trace.Meta{
-		Nodes:        n,
-		TileSize:     cfg.TileSize,
-		Tiles:        grid.Tiles,
-		Pairs:        1,
-		LocalIters:   cfg.LocalIters,
-		GlobalIters:  cfg.GlobalIters,
-		TileFraction: cfg.TileFraction,
-		Stochastic:   cfg.SpinUpdate == SpinUpdateStochastic,
-		Seed:         seed,
-		Device:       false,
-	}, cfg.Tracer)
-	var res Result
-	defer func() {
-		run.End()
-		res.Ops = run.Ops()
-	}()
-
-	// Long-lived worker pool, one closure channel for every parallel
-	// phase (threshold sweep, flip application, anchor recompute).
-	workers := cfg.workers()
-	if workers > paddedN {
-		workers = paddedN
-	}
-	work := make(chan func())
-	defer close(work)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		go func() {
-			for f := range work {
-				f()
-				wg.Done()
-			}
-		}()
-	}
-	parallel := func(parts int, f func(part int)) {
-		if parts <= 1 {
-			f(0)
-			return
-		}
-		wg.Add(parts)
-		for p := 0; p < parts; p++ {
-			p := p
-			work <- func() { f(p) }
-		}
-		wg.Wait()
-	}
-	// anchor recomputes y = C·s exactly, rows sharded across workers.
-	y := make([]float64, paddedN)
-	anchor := func() {
-		parallel(workers, func(part int) {
-			lo := part * paddedN / workers
-			hi := (part + 1) * paddedN / workers
-			csr.ApplyBinaryRange(sGlobal, y, lo, hi)
+	chunkFlips, chunkSigns := st.chunkFlips, st.chunkSigns
+	// anchor recomputes dst = C·x exactly, rows sharded across workers.
+	anchor := func(dst []float64) {
+		j.pool.parallel(workers, func(part int) {
+			ct.tile.ApplyBinaryRange(x, dst, part*t/workers, (part+1)*t/workers)
 		})
 	}
-	anchor()
-	run.InitMVM(0, true)
-	run.InitDone()
-
-	res.BestSpins = bestSpinsFrom(sGlobal, n)
-	res.BestEnergy = s.model.Energy(res.BestSpins)
-	evalSpins := make([]int8, n)
-	tracker := newEnergyTracker(s.model, res.BestSpins, res.BestEnergy, s.exactEnergy)
-	var prevEval []int8
-	if run.WantsEnergyDetail() {
-		prevEval = append([]int8(nil), res.BestSpins...)
-	}
-
-	// Per-worker flip chunks, merged into one ascending list per class.
-	chunkFlips := make([][]int, workers)
-	chunkSigns := make([][]float64, workers)
-	var flips []int
-	var signs []float64
 
 	refresh := cfg.deltaRefresh()
-	// Geometric noise annealing schedule, as in run().
-	phiAt := func(g int) float64 {
-		//sophielint:ignore floateq exact equality of two user-set config values selects the constant-noise fast path
-		if cfg.PhiEnd <= 0 || cfg.Phi == cfg.PhiEnd || cfg.GlobalIters == 1 {
-			return cfg.Phi
+	for l := 0; l < cfg.LocalIters; l++ {
+		if l%refresh == 0 {
+			anchor(y)
 		}
-		frac := float64(g-1) / float64(cfg.GlobalIters-1)
-		return cfg.Phi * math.Pow(cfg.PhiEnd/cfg.Phi, frac)
+		for ci, class := range ct.classes {
+			step := metrics.U64(((j.iter-1)*cfg.LocalIters+l)*len(ct.classes) + ci)
+			// Threshold phase: shards own contiguous chunks of the
+			// class; same-class spins share no coupling, so y and the
+			// spins they write are untouched by each other.
+			parts := min(workers, len(class))
+			j.pool.parallel(parts, func(part int) {
+				f := chunkFlips[part][:0]
+				sg := chunkSigns[part][:0]
+				for _, v := range class[part*len(class)/parts : (part+1)*len(class)/parts] {
+					xv := y[v] + off[v]
+					if phi > 0 {
+						xv += coloredNormal(stream, step, uint64(v)) * phi * scale[v]
+					}
+					var nv float64
+					if xv >= th[v] {
+						nv = 1
+					}
+					if d := nv - x[v]; d != 0 {
+						f = append(f, v)
+						sg = append(sg, d)
+						x[v] = nv
+					}
+				}
+				chunkFlips[part] = f
+				chunkSigns[part] = sg
+			})
+			flips, signs := st.rowFlips[:0], st.rowSigns[:0]
+			for part := 0; part < parts; part++ {
+				flips = append(flips, chunkFlips[part]...)
+				signs = append(signs, chunkSigns[part]...)
+			}
+			st.rowFlips, st.rowSigns = flips, signs
+			if len(flips) == 0 {
+				continue
+			}
+			// Apply phase: every shard applies the full ascending flip
+			// sequence restricted to its own output range.
+			j.pool.parallel(workers, func(part int) {
+				from, to := part*t/workers, (part+1)*t/workers
+				for k, v := range flips {
+					ct.tile.AccumulateFlipRange(y, v, signs[k], from, to)
+				}
+			})
+		}
 	}
-	for g := 1; g <= cfg.GlobalIters; g++ {
-		if s.stop != nil && s.stop.stopped() {
-			res.Stopped = true
-			return &res, nil
-		}
-		if s.ctx != nil {
-			select {
-			case <-s.ctx.Done():
-				res.Stopped = true
-				return &res, nil
-			default:
-			}
-		}
-		phi := phiAt(g)
-		run.GlobalStart(g, 1, phi)
-		run.LoadDone(g, 1)
-
-		for l := 0; l < cfg.LocalIters; l++ {
-			if (g > 1 || l > 0) && l%refresh == 0 {
-				anchor()
-			}
-			for ci, class := range classes {
-				step := metrics.U64(((g-1)*cfg.LocalIters+l)*len(classes) + ci)
-				// Threshold phase: workers own contiguous chunks of the
-				// class; same-class spins share no coupling, so y and the
-				// spins they write are untouched by each other.
-				parts := workers
-				if parts > len(class) {
-					parts = len(class)
-				}
-				if parts == 0 {
-					continue
-				}
-				parallel(parts, func(part int) {
-					lo := part * len(class) / parts
-					hi := (part + 1) * len(class) / parts
-					f := chunkFlips[part][:0]
-					sg := chunkSigns[part][:0]
-					for _, v := range class[lo:hi] {
-						x := y[v]
-						if phi > 0 {
-							x += coloredNormal(stream, step, uint64(v)) * phi * s.noiseScale[v]
-						}
-						var nv float64
-						if x >= s.thresholds[v] {
-							nv = 1
-						}
-						if d := nv - sGlobal[v]; d != 0 {
-							f = append(f, v)
-							sg = append(sg, d)
-							sGlobal[v] = nv
-						}
-					}
-					chunkFlips[part] = f
-					chunkSigns[part] = sg
-				})
-				flips = flips[:0]
-				signs = signs[:0]
-				for part := 0; part < parts; part++ {
-					flips = append(flips, chunkFlips[part]...)
-					signs = append(signs, chunkSigns[part]...)
-				}
-				if len(flips) == 0 {
-					continue
-				}
-				// Apply phase: every worker applies the full ascending
-				// flip sequence restricted to its own output range.
-				parallel(workers, func(part int) {
-					lo := part * paddedN / workers
-					hi := (part + 1) * paddedN / workers
-					for k, v := range flips {
-						csr.AccumulateFlipRange(y, v, signs[k], lo, hi)
-					}
-				})
-			}
-		}
-		run.LocalBatch(g, 0, true)
-		run.LocalDone(g)
-		run.SyncPair(g, 0)
-		run.SyncBlock(g, 0, 1)
-		run.SyncBarrier(g)
-
-		res.GlobalItersRun = g
-		res.TotalLocalIters = g * cfg.LocalIters
-
-		if g%cfg.EvalEvery == 0 || g == cfg.GlobalIters {
-			fillSpins(evalSpins, sGlobal)
-			e := tracker.energyAt(evalSpins)
-			improved := e < res.BestEnergy
-			if improved {
-				res.BestEnergy = e
-				res.BestGlobalIter = g
-				copy(res.BestSpins, evalSpins)
-			}
-			if cfg.RecordTrace {
-				res.Trace = append(res.Trace, res.BestEnergy)
-			}
-			if prevEval != nil {
-				diff := 0
-				for i, v := range evalSpins {
-					if v != prevEval[i] {
-						diff++
-					}
-				}
-				copy(prevEval, evalSpins)
-				run.Energy(g, res.BestEnergy, diff, improved)
-			}
-			if cfg.OnGlobalIteration != nil {
-				cfg.OnGlobalIteration(g, res.BestEnergy)
-			}
-			if cfg.TargetEnergy != nil && res.BestEnergy <= *cfg.TargetEnergy {
-				res.ReachedTarget = true
-				return &res, nil
-			}
-		}
-		run.GlobalEnd(g)
+	// Publish C·x of the final block. On integer couplings every patch
+	// was exact, so y already is that product bit for bit (the same
+	// argument as the energy tracker's); otherwise recompute it.
+	if rc.exactEnergy {
+		copy(st.pRowCol, y)
+	} else {
+		anchor(st.pRowCol)
 	}
-	return &res, nil
+	rc.quantizeReadout(st.pRowCol)
 }

@@ -144,15 +144,16 @@ type Config struct {
 	// combined with a sparse-built model (ising.NewModelCSR), which has
 	// no dense couplings to fall back to.
 	ForceDense bool
-	// ColoredUpdate opts in to the chromatic parallel update: spins are
-	// partitioned into independent sets by greedy graph coloring and each
-	// class updates concurrently within a local iteration, Gauss-Seidel
-	// style — fresh neighbor values between classes instead of the
-	// block-synchronous tile recurrence. Requires the sparse datapath and
-	// a single tile (TileSize >= N). Runs are bit-reproducible for a seed
-	// at any worker count, but follow a different trajectory than the
-	// default update (a different algorithm, not a different
-	// implementation).
+	// ColoredUpdate opts in to the chromatic parallel update: each
+	// diagonal tile's spins are partitioned into independent sets by
+	// greedy graph coloring and each class updates concurrently within a
+	// local iteration, Gauss-Seidel style — fresh neighbor values between
+	// classes instead of the block-synchronous tile recurrence.
+	// Off-diagonal tile pairs keep the default update. Requires the
+	// sparse datapath; works at any TileSize and under tempering. Runs
+	// are bit-reproducible for a seed at any worker count, but follow a
+	// different trajectory than the default update (a different
+	// algorithm, not a different implementation).
 	ColoredUpdate bool
 	// Engine overrides the MVM datapath; nil uses the ideal engine.
 	Engine EngineFactory

@@ -4,32 +4,32 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"sophie/internal/tiling"
 	"sophie/internal/trace"
 )
 
-// jobRun is one job's controller state, factored out of the monolithic
-// run loop so two drivers can share it:
+// jobRun is one job's controller state, stepped by the one run loop,
+// lockstep: every job — a lone Run, each RunBatch replica, every rung
+// of a tempering ladder — is a jobRun, and lockstep advances a set of
+// them through the same global iteration over one shared PE worker
+// pool, dispatched pair-major so every job's local batch for tile pair
+// p runs while p's tiles are hot (reuse-aware scheduling).
 //
-//   - run() (solver.go) owns a private PE worker pool and steps one job
-//     through its global iterations, exactly as before the extraction;
-//   - the tempering portfolio runtime (temper.go) holds one jobRun per
-//     temperature rung and interleaves all rungs' selected pairs
-//     through a single shared pool — reuse-aware scheduling: every
-//     rung's sweep of pair p runs while p's tiles are hot.
-//
-// The split is purely structural: newJobRun + beginIter/localPair/
-// endIter/finish replay the original loop body statement for statement,
-// in particular every RNG draw and every trace emission happens in the
-// same order, so a completed run() is bit-identical to the pre-split
-// solver (pinned by the golden and determinism tests).
+// newJobRun + beginIter/localPair/endIter/finish replay the original
+// monolithic loop body statement for statement, in particular every
+// RNG draw and every trace emission happens in the same order, so a
+// completed run is bit-identical to the pre-split solver (pinned by the
+// golden and determinism tests). localPair is the per-pair local
+// update: the delta or reference recurrence, or on a diagonal pair of a
+// ColoredUpdate solver the color-class sweep (colored.go).
 //
 // Concurrency contract: beginIter, endIter, and every other method
 // except localPair are controller-side — they must be called from one
-// goroutine per jobRun, in iteration order. localPair(pi, phi) touches
-// only states[pi] and the (concurrency-safe) engine view, so distinct
-// pairs of one jobRun — and any pairs of distinct jobRuns — may run
+// goroutine per jobRun, in iteration order. localPair(pi) touches only
+// states[pi] and the (concurrency-safe) engine view, so distinct pairs
+// of one jobRun — and any pairs of distinct jobRuns — may run
 // concurrently between a beginIter and its endIter.
 type jobRun struct {
 	rc   *runContext
@@ -47,6 +47,13 @@ type jobRun struct {
 	states []*pairState
 	run    *trace.Run
 	res    Result
+
+	// The open global iteration and its noise level (set by beginIter,
+	// read by localPair), and the driver's pool the colored sweep
+	// shards over.
+	iter int
+	phi  float64
+	pool *pePool
 
 	// Evaluation state: scratch spins, the incremental energy tracker
 	// (fast path only), and the previous evaluation for flip counting.
@@ -247,15 +254,16 @@ func (j *jobRun) phiAt(g int) float64 {
 
 // beginIter opens global iteration g: stochastic pair selection, then
 // the load phase (each selected pair copies its spin blocks and
-// rebuilds its offset vectors from the partial-sum table). It returns
-// the iteration's noise level; the selected pairs are in j.selected.
+// rebuilds its offset vectors from the partial-sum table). The selected
+// pairs are in j.selected and the iteration's noise level in j.phi.
 // After beginIter the caller dispatches localPair for every selected
 // pair (concurrently if it likes), then calls endIter.
-func (j *jobRun) beginIter(g int) float64 {
+func (j *jobRun) beginIter(g int) {
 	rc := j.rc
 	grid := rc.grid
 	nPairs := grid.PairCount()
 	phi := j.phiAt(g)
+	j.iter, j.phi = g, phi
 
 	// --- Stochastic tile computation: pick the pairs for this round.
 	j.selected = j.selected[:0]
@@ -287,16 +295,18 @@ func (j *jobRun) beginIter(g int) float64 {
 		}
 	}
 	j.run.LoadDone(g, len(j.selected))
-	return phi
 }
 
 // localPair runs the local-iteration batch of one selected pair — the
 // PE worker body. Safe to call concurrently for distinct pairs.
-func (j *jobRun) localPair(pi int, phi float64) {
-	if j.useDelta {
-		j.rc.runLocalIterationsDelta(j.states[pi], j.rc.pairs[pi], pi, phi)
-	} else {
-		j.rc.runLocalIterations(j.states[pi], j.rc.pairs[pi], pi, phi)
+func (j *jobRun) localPair(pi int) {
+	switch {
+	case j.rc.colored != nil && j.rc.colored[pi] != nil:
+		j.sweepColored(pi)
+	case j.useDelta:
+		j.rc.runLocalIterationsDelta(j.states[pi], j.rc.pairs[pi], pi, j.phi)
+	default:
+		j.rc.runLocalIterations(j.states[pi], j.rc.pairs[pi], pi, j.phi)
 	}
 }
 
@@ -407,4 +417,178 @@ func (j *jobRun) swapStateWith(o *jobRun) {
 	j.partial, o.partial = o.partial, j.partial
 	j.rowSum, o.rowSum = o.rowSum, j.rowSum
 	j.tracker, o.tracker = o.tracker, j.tracker
+}
+
+// pePool is the lockstep driver's PE worker pool. Workers take whole
+// pairs from the driver's dispatch channel and shards — slices of one
+// diagonal pair's colored sweep — from a buffered side queue. The pool
+// drains and exits when the driver closes pairs, so early exits leak
+// nothing. Determinism does not depend on which worker runs what: each
+// pair owns its persistent RNG stream in states[pi], shards write
+// disjoint memory, and the round and shard WaitGroups order all PE
+// writes before the reads that follow them.
+type pePool struct {
+	width  int
+	pairs  chan peTask
+	shards chan peShard
+	round  sync.WaitGroup
+}
+
+type peTask struct {
+	j  *jobRun
+	pi int
+}
+
+type peShard struct {
+	f    func(part int)
+	part int
+	done *sync.WaitGroup
+}
+
+func (sh peShard) run() {
+	sh.f(sh.part)
+	sh.done.Done()
+}
+
+// parallel runs f(part) for every part in [0, parts) and returns once
+// all are done. Parts 1.. go to idle workers through the shard queue
+// when it has room; the caller runs part 0 and then drains the queue
+// itself, so a sweep on a pool whose workers are all busy with other
+// pairs runs inline instead of waiting — no shard can deadlock the pool.
+func (p *pePool) parallel(parts int, f func(part int)) {
+	if parts <= 1 {
+		if parts == 1 {
+			f(0)
+		}
+		return
+	}
+	var done sync.WaitGroup
+	done.Add(parts - 1)
+	for part := 1; part < parts; part++ {
+		sh := peShard{f: f, part: part, done: &done}
+		select {
+		case p.shards <- sh:
+		default:
+			sh.run()
+		}
+	}
+	f(0)
+	for drained := false; !drained; {
+		select {
+		case sh := <-p.shards:
+			sh.run()
+		default:
+			drained = true
+		}
+	}
+	done.Wait()
+}
+
+// lockstep is the one run loop: it starts a pool of width PE workers
+// and steps every job through the same global iteration together until
+// the iteration budget, a stop, or the target ends the run, then
+// finishes every job. Controller phases run job-sequentially (each
+// job's selection and load draw only from its own streams, so the order
+// is fixed and scheduling-free); local batches are dispatched
+// pair-major, so the pool sees every job's work on pair p before any
+// job's work on pair p+1. exchange, when non-nil, runs at the end of
+// every iteration that did not reach the target — the tempering
+// ladder's swap boundary — and reports whether it reached the target
+// itself.
+//
+// Stop semantics: a stop flag or cancelled context on any job marks
+// every job stopped; a job reaching the target before the last
+// iteration marks every job that did not reach it stopped.
+func lockstep(jobs []*jobRun, width int, exchange func(g int) bool) {
+	pool := &pePool{
+		width: width,
+		pairs: make(chan peTask),
+		// One parallel call enqueues at most width-1 shards; a full
+		// queue only makes later callers run their shards inline.
+		shards: make(chan peShard, width),
+	}
+	for w := 0; w < width; w++ {
+		go func() {
+			for {
+				select {
+				case t, ok := <-pool.pairs:
+					if !ok {
+						return
+					}
+					t.j.localPair(t.pi)
+					pool.round.Done()
+				case sh := <-pool.shards:
+					sh.run()
+				}
+			}
+		}()
+	}
+	defer close(pool.pairs)
+	defer func() {
+		for _, j := range jobs {
+			j.finish()
+		}
+	}()
+	for _, j := range jobs {
+		j.pool = pool
+	}
+
+	nPairs := jobs[0].rc.grid.PairCount()
+	selBy := make([][]bool, len(jobs))
+	for r := range selBy {
+		selBy[r] = make([]bool, nPairs)
+	}
+	iters := jobs[0].rc.cfg.GlobalIters
+	for g := 1; g <= iters; g++ {
+		// Portfolio early-stop and caller cancellation, observed at the
+		// iteration boundary; a stopped job keeps its best-so-far.
+		for _, j := range jobs {
+			if j.shouldStop() {
+				for _, o := range jobs {
+					o.res.Stopped = true
+				}
+				return
+			}
+		}
+
+		total := 0
+		for r, j := range jobs {
+			j.beginIter(g)
+			sel := selBy[r]
+			clear(sel)
+			for _, pi := range j.selected {
+				sel[pi] = true
+			}
+			total += len(j.selected)
+		}
+		pool.round.Add(total)
+		for pi := 0; pi < nPairs; pi++ {
+			for r, j := range jobs {
+				if selBy[r][pi] {
+					pool.pairs <- peTask{j: j, pi: pi}
+				}
+			}
+		}
+		pool.round.Wait()
+
+		reached := false
+		for _, j := range jobs {
+			if j.endIter(g) {
+				reached = true
+			}
+		}
+		if !reached && exchange != nil {
+			reached = exchange(g)
+		}
+		if reached {
+			if g < iters {
+				for _, j := range jobs {
+					if !j.res.ReachedTarget {
+						j.res.Stopped = true
+					}
+				}
+			}
+			return
+		}
+	}
 }

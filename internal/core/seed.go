@@ -27,11 +27,12 @@ const (
 	roleController uint64 = 0xC1
 	rolePair       uint64 = 0x9A
 	roleDevice     uint64 = 0xD5
-	// roleColored feeds the colored-update runtime's stateless noise:
-	// the stream index is the spin, and each (step, spin) pair draws its
-	// normal deviate by mixing the stream with the step counter — no
-	// per-worker RNG state, which is what makes the chromatic sweep
-	// bit-reproducible at any worker count.
+	// roleColored feeds the colored sweep's stateless noise: one stream
+	// per diagonal tile pair (the stream index is the pair), and each
+	// (step, spin) draws its normal deviate by mixing the stream with the
+	// step counter and the tile-local spin — no per-worker RNG state,
+	// which is what makes the chromatic sweep bit-reproducible at any
+	// worker count.
 	roleColored uint64 = 0x7C
 	// roleExchange feeds the tempering runtime's exchange decisions: one
 	// stream per portfolio (derived from the coldest rung's seed), and

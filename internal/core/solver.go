@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"sophie/internal/ising"
 	"sophie/internal/linalg"
@@ -38,10 +37,10 @@ type Solver struct {
 	binary      tiling.BinaryEngine
 	exactEnergy bool
 
-	// Colored-update state (Config.ColoredUpdate): the single padded
-	// CSR tile and its greedy coloring, precomputed once per solver.
-	coloredTile *linalg.CSR
-	classes     [][]int
+	// Colored-update state (Config.ColoredUpdate): per pair index, the
+	// CSR tile and greedy coloring of each diagonal pair (nil for
+	// off-diagonal pairs, and nil throughout without ColoredUpdate).
+	colored []*coloredTile
 }
 
 // readoutQuantizer is implemented by engines with a multi-bit ADC mode
@@ -76,14 +75,9 @@ func NewSolver(m *ising.Model, cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ColoredUpdate {
-		if !sparse {
-			return nil, fmt.Errorf("core: ColoredUpdate requires the sparse datapath (density %.3f >= %.2f; lower the density or build the model with NewModelCSR)",
-				modelDensity(m), sparseDensityThresholdFor(cfg.TileSize))
-		}
-		if grid.Tiles != 1 {
-			return nil, fmt.Errorf("core: ColoredUpdate requires a single tile (TileSize %d < %d spins)", cfg.TileSize, m.N())
-		}
+	if cfg.ColoredUpdate && !sparse {
+		return nil, fmt.Errorf("core: ColoredUpdate requires the sparse datapath (density %.3f >= %.2f; lower the density or build the model with NewModelCSR)",
+			modelDensity(m), sparseDensityThresholdFor(cfg.TileSize))
 	}
 
 	s := &Solver{
@@ -111,8 +105,12 @@ func NewSolver(m *ising.Model, cfg Config) (*Solver, error) {
 		copy(s.thresholds, tr.Thresholds)
 		copy(s.noiseScale, tr.RowNorms)
 		if cfg.ColoredUpdate {
-			s.coloredTile = tiles[0]
-			s.classes = tiles[0].GreedyColoring()
+			s.colored = make([]*coloredTile, len(tiles))
+			for pi, p := range s.pairs {
+				if p.IsDiagonal() {
+					s.colored[pi] = &coloredTile{tile: tiles[pi], classes: tiles[pi].GreedyColoring()}
+				}
+			}
 		}
 	} else {
 		var tr *pris.Transform
@@ -275,6 +273,11 @@ type pairState struct {
 	yRow, yCol         []float64
 	rowFlips, colFlips []int
 	rowSigns, colSigns []float64
+
+	// Colored-sweep scratch: per-shard flip chunks, merged in shard
+	// order into rowFlips/rowSigns (allocated by the first sweep).
+	chunkFlips [][]int
+	chunkSigns [][]float64
 }
 
 // newPairState allocates the buffers one pair's PE uses on its
@@ -359,7 +362,7 @@ func (s *Solver) newRunContext(ctx context.Context, seed int64, stop *batchStop)
 // (tiling.SessionEngine), so every job's trajectory is a pure function
 // of its seed regardless of what runs beside it.
 func (s *Solver) Run(seed int64) (*Result, error) {
-	return s.newRunContext(nil, seed, nil).run(seed)
+	return s.runJob(nil, seed, nil)
 }
 
 // RunCtx is Run with caller-controlled cancellation: the context's
@@ -370,68 +373,17 @@ func (s *Solver) Run(seed int64) (*Result, error) {
 // runs to completion is bit-identical to the same seed under Run; only
 // where a run ends can depend on the context, never what it computes.
 func (s *Solver) RunCtx(ctx context.Context, seed int64) (*Result, error) {
-	return s.newRunContext(ctx, seed, nil).run(seed)
+	return s.runJob(ctx, seed, nil)
 }
 
-// run is the job body, executed over the per-job engine view. The
-// controller state machine lives in jobRun (jobrun.go); run drives it
-// with a private PE worker pool. The tempering portfolio runtime
-// (temper.go) drives the same machine for many rungs over one shared
-// pool instead.
-func (s *runContext) run(seed int64) (*Result, error) {
-	if s.cfg.ColoredUpdate {
-		return s.runColored(seed)
-	}
-	j, err := newJobRun(s, seed)
+// runJob executes one job through the lockstep driver (jobrun.go) with
+// a pool of its own Config.Workers PEs.
+func (s *Solver) runJob(ctx context.Context, seed int64, stop *batchStop) (*Result, error) {
+	j, err := newJobRun(s.newRunContext(ctx, seed, stop), seed)
 	if err != nil {
 		return nil, err
 	}
-	defer j.finish()
-
-	// One long-lived worker pool for the whole job: workers pull
-	// (pair, phi) jobs from a single channel and signal per-item
-	// completion on the round WaitGroup — no per-iteration channel
-	// churn. The pool drains and exits when Run returns (deferred
-	// close), so early TargetEnergy exits leak nothing. Determinism
-	// does not depend on which worker processes a pair: each pair owns
-	// its persistent RNG stream in states[pi], and round.Wait() orders
-	// all PE writes before the controller reads them.
-	type peJob struct {
-		pi  int
-		phi float64
-	}
-	workers := s.cfg.workers()
-	work := make(chan peJob)
-	defer close(work)
-	var round sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		go func() {
-			for jb := range work {
-				j.localPair(jb.pi, jb.phi)
-				round.Done()
-			}
-		}()
-	}
-
-	for g := 1; g <= s.cfg.GlobalIters; g++ {
-		// Portfolio early-stop (RunBatch) and caller cancellation
-		// (RunCtx / RunBatchCtx), both observed at the iteration
-		// boundary; a stopped job returns best-so-far with Stopped set.
-		if j.shouldStop() {
-			return &j.res, nil
-		}
-		phi := j.beginIter(g)
-		// --- Local iterations: dispatch the selected pairs to the
-		// long-lived PE pool and wait for the round to finish.
-		round.Add(len(j.selected))
-		for _, pi := range j.selected {
-			work <- peJob{pi: pi, phi: phi}
-		}
-		round.Wait()
-		if j.endIter(g) {
-			return &j.res, nil
-		}
-	}
+	lockstep([]*jobRun{j}, s.cfg.workers(), nil)
 	return &j.res, nil
 }
 

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"testing"
@@ -10,6 +13,7 @@ import (
 	"sophie/internal/linalg"
 	"sophie/internal/opcm"
 	"sophie/internal/tiling"
+	"sophie/internal/trace"
 )
 
 // sparseProblem is the G22-mini workload at sparse density: 125 nodes
@@ -171,65 +175,251 @@ func coloredConfig(n int) Config {
 	return cfg
 }
 
+// coloredShape is one way a colored solve runs: a lone job on one tile
+// or tiled, or a tempering ladder. tileSize 0 means one tile spanning
+// the model; 48 does not divide sparseProblem's 125 spins, so the tiled
+// shapes carry a padded boundary block and off-diagonal pairs on the
+// default delta update beside the colored diagonal pairs.
+type coloredShape struct {
+	name     string
+	tileSize int
+	ladder   bool
+}
+
+var coloredShapes = []coloredShape{
+	{name: "single-tile"},
+	{name: "tiled", tileSize: 48},
+	{name: "tempering", tileSize: 48, ladder: true},
+}
+
+// runColoredShape solves m on the shape with coloredConfig adjusted by
+// mutate, and returns every job's result: one for a lone run, one per
+// rung for a ladder.
+func runColoredShape(t *testing.T, m *ising.Model, sh coloredShape, mutate func(*Config)) *BatchResult {
+	t.Helper()
+	cfg := coloredConfig(m.N())
+	if sh.tileSize > 0 {
+		cfg.TileSize = sh.tileSize
+	}
+	mutate(&cfg)
+	solver, err := NewSolver(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sh.ladder {
+		b, err := solver.RunTempering(mustSeedRange(17, 3), TemperingOptions{TMin: 0.05, TMax: 0.3, ExchangeEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	res, err := solver.Run(17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return aggregate([]*Result{res})
+}
+
 // TestColoredUpdateWorkerCountIndependence pins the chromatic update's
 // determinism contract: the trajectory is a pure function of the seed
 // at any worker count — stateless per-(step,spin) noise, ascending
 // merged flip lists, and output-range-sharded flip application make
-// 1 worker and many workers produce bit-identical results.
+// 1 worker and many workers produce bit-identical results, on one tile,
+// tiled, and across a tempering ladder's shared pool.
 func TestColoredUpdateWorkerCountIndependence(t *testing.T) {
 	_, m := sparseProblem(t, graph.WeightUnit)
-	base := coloredConfig(m.N())
-	var ref *Result
-	for _, workers := range []int{1, 3, 8} {
-		cfg := base
+	for _, sh := range coloredShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			var ref *BatchResult
+			for _, workers := range []int{1, 3, 8} {
+				b := runColoredShape(t, m, sh, func(c *Config) { c.Workers = workers })
+				if ref == nil {
+					ref = b
+					continue
+				}
+				for r := range b.Results {
+					requireIdentical(t, fmt.Sprintf("workers %d job %d", workers, r), ref.Results[r], b.Results[r])
+				}
+				if sh.ladder && (b.Tempering.Accepted != ref.Tempering.Accepted || b.Tempering.Attempted != ref.Tempering.Attempted) {
+					t.Fatalf("workers %d: exchanges %d/%d, want %d/%d", workers,
+						b.Tempering.Accepted, b.Tempering.Attempted, ref.Tempering.Accepted, ref.Tempering.Attempted)
+				}
+			}
+		})
+	}
+}
+
+// coloredDigest condenses a result into the bits TestColoredUpdateGolden
+// pins: BestEnergy, and FNV-64a hashes of BestSpins, the Trace's float
+// bits, and the Ops counters.
+type coloredDigest struct {
+	energy, spins, trace, ops uint64
+}
+
+func digestResult(res *Result) coloredDigest {
+	h := fnv.New64a()
+	for _, sp := range res.BestSpins {
+		h.Write([]byte{byte(sp)})
+	}
+	d := coloredDigest{energy: math.Float64bits(res.BestEnergy), spins: h.Sum64()}
+	h.Reset()
+	for _, v := range res.Trace {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+	}
+	d.trace = h.Sum64()
+	h.Reset()
+	fmt.Fprintf(h, "%+v", res.Ops)
+	d.ops = h.Sum64()
+	return d
+}
+
+// TestColoredUpdateGolden pins the single-tile colored trajectory bit
+// for bit on the unit-weight sparseProblem, at two worker counts and
+// three seeds. The values were recorded from the standalone colored
+// loop the update used to run in; the colored sweep is now the local
+// update of a diagonal pair inside jobRun, and on one tile pair 0 with
+// a zero offset must replay that loop exactly.
+func TestColoredUpdateGolden(t *testing.T) {
+	_, m := sparseProblem(t, graph.WeightUnit)
+	want := map[int64]coloredDigest{
+		1: {energy: 0xc071a00000000000, spins: 0x9d162d0c21025d0e, trace: 0xcb8bb0ccfe546c09, ops: 0x184ee066011814bc},
+		2: {energy: 0xc071800000000000, spins: 0xd9d0c597f59dbd52, trace: 0x242c9c3ac6737cfb, ops: 0x184ee066011814bc},
+		3: {energy: 0xc071a00000000000, spins: 0x45a71523dac1161e, trace: 0x8a62bca6aa5412fc, ops: 0x184ee066011814bc},
+	}
+	for _, workers := range []int{1, 3} {
+		cfg := coloredConfig(m.N())
 		cfg.Workers = workers
 		solver, err := NewSolver(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := solver.Run(17)
-		if err != nil {
-			t.Fatal(err)
+		for _, seed := range []int64{1, 2, 3} {
+			res, err := solver.Run(seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digestResult(res); got != want[seed] {
+				t.Errorf("workers %d seed %d: digest %#v, want %#v", workers, seed, got, want[seed])
+			}
 		}
-		if ref == nil {
-			ref = res
-			continue
-		}
-		requireIdentical(t, "colored workers", ref, res)
 	}
 }
 
-// TestColoredUpdateResultConsistency checks the colored runtime's
-// outputs are well-formed: ±1 spins, a best energy matching the model's
-// own evaluation of the best spins, and a monotone best-so-far trace.
+// TestColoredUpdateResultConsistency checks every colored shape is
+// self-consistent: ±1 spins, a best energy bit-equal to the model's own
+// evaluation of the best spins, a monotone best-so-far trace, a positive
+// cut, and op counters equal to the fold of the recorded event stream.
 func TestColoredUpdateResultConsistency(t *testing.T) {
 	g, m := sparseProblem(t, graph.WeightUnit)
-	solver, err := NewSolver(m, coloredConfig(m.N()))
+	for _, sh := range coloredShapes {
+		t.Run(sh.name, func(t *testing.T) {
+			rec := trace.NewRecorder(trace.Options{Capacity: 1 << 16})
+			b := runColoredShape(t, m, sh, func(c *Config) { c.Tracer = rec })
+			for r, res := range b.Results {
+				if len(res.BestSpins) != m.N() {
+					t.Fatalf("job %d: got %d spins for %d-spin model", r, len(res.BestSpins), m.N())
+				}
+				for i, sp := range res.BestSpins {
+					if sp != 1 && sp != -1 {
+						t.Fatalf("job %d: spin %d is %d, want ±1", r, i, sp)
+					}
+				}
+				if math.Float64bits(res.BestEnergy) != math.Float64bits(m.Energy(res.BestSpins)) {
+					t.Fatalf("job %d: BestEnergy %v does not match model energy %v", r, res.BestEnergy, m.Energy(res.BestSpins))
+				}
+				for i := 1; i < len(res.Trace); i++ {
+					if res.Trace[i] > res.Trace[i-1] {
+						t.Fatalf("job %d: trace not monotone at %d: %v > %v", r, i, res.Trace[i], res.Trace[i-1])
+					}
+				}
+				if cut := g.CutValue(res.BestSpins); cut <= 0 {
+					t.Fatalf("job %d: non-positive cut %v", r, cut)
+				}
+			}
+			snap := rec.Snapshot()
+			if snap.Dropped != 0 || snap.Runs != len(b.Results) {
+				t.Fatalf("recorder dropped %d events over %d runs, want 0 over %d", snap.Dropped, snap.Runs, len(b.Results))
+			}
+			if folded := trace.FoldOps(snap.Meta, snap.Events); folded != b.Ops {
+				t.Fatalf("Ops is not the fold of the trace:\n%s\nvs\n%s", b.Ops.String(), folded.String())
+			}
+		})
+	}
+}
+
+// TestColoredSingleTileOffsetResidue pins the one way a single-tile
+// colored run can leave the standalone colored loop's trajectory: the
+// sweep thresholds y + offRow, and the row-sum offset cache
+// (buildOffsetCached) leaves offRow exactly zero on integer couplings —
+// which is why TestColoredUpdateGolden replays bit for bit — but with
+// ulp-scale residues on float couplings, where a comparison landing
+// within an ulp of θ could then resolve the other way.
+func TestColoredSingleTileOffsetResidue(t *testing.T) {
+	g, _ := sparseProblem(t, graph.WeightUnit)
+	fg := graph.New(g.N())
+	for i, e := range g.Edges() {
+		if err := fg.AddEdge(e.U, e.V, 0.1+0.37*float64(i%7)+0.013*float64(i%11)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	residues := func(m *ising.Model) int {
+		s, err := NewSolver(m, coloredConfig(m.N()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Step the job by hand (a one-wide pool runs every shard inline)
+		// to read pair 0's offset after each load phase.
+		j, err := newJobRun(s.newRunContext(nil, 1, nil), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.finish()
+		j.pool = &pePool{width: 1}
+		nonzero := 0
+		for it := 1; it <= s.cfg.GlobalIters; it++ {
+			j.beginIter(it)
+			for _, v := range j.states[0].offRow {
+				if v != 0 {
+					nonzero++
+				}
+			}
+			j.localPair(0)
+			j.endIter(it)
+		}
+		return nonzero
+	}
+	if n := residues(ising.FromMaxCutCSR(g)); n != 0 {
+		t.Fatalf("unit couplings: %d nonzero single-tile offsets, want 0", n)
+	}
+	if n := residues(ising.FromMaxCutCSR(fg)); n == 0 {
+		t.Fatal("float couplings: no offset residue; update the compat note in README.md")
+	}
+}
+
+// TestColoredQualityFloor guards the colored update against silently
+// dropping to random-quality cuts: on a 10k-node 3-regular graph at
+// examples/millionspin's configuration (20 global × 5 local iterations,
+// φ 0.15, EvalEvery 5) it must cut at least 85% of the edges (89.2%
+// measured; random spins cut about 50%).
+func TestColoredQualityFloor(t *testing.T) {
+	g, err := graph.RandomRegular(10_000, 3, graph.WeightUnit, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := solver.Run(4)
+	cfg := DefaultConfig()
+	cfg.TileSize = g.N()
+	cfg.SkipTransform = true
+	cfg.GlobalIters = 20
+	cfg.LocalIters = 5
+	cfg.Phi = 0.15
+	cfg.EvalEvery = 5
+	cfg.ColoredUpdate = true
+	res, err := Solve(ising.FromMaxCutCSR(g), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.BestSpins) != m.N() {
-		t.Fatalf("got %d spins for %d-spin model", len(res.BestSpins), m.N())
-	}
-	for i, sp := range res.BestSpins {
-		if sp != 1 && sp != -1 {
-			t.Fatalf("spin %d is %d, want ±1", i, sp)
-		}
-	}
-	if math.Float64bits(res.BestEnergy) != math.Float64bits(m.Energy(res.BestSpins)) {
-		t.Fatalf("BestEnergy %v does not match model energy %v", res.BestEnergy, m.Energy(res.BestSpins))
-	}
-	for i := 1; i < len(res.Trace); i++ {
-		if res.Trace[i] > res.Trace[i-1] {
-			t.Fatalf("trace not monotone at %d: %v > %v", i, res.Trace[i], res.Trace[i-1])
-		}
-	}
-	if cut := g.CutValue(res.BestSpins); cut <= 0 {
-		t.Fatalf("non-positive cut %v", cut)
+	if frac := g.CutValue(res.BestSpins) / g.TotalWeight(); frac < 0.85 {
+		t.Fatalf("colored cut %.4f of edges, want >= 0.85", frac)
 	}
 }
 
@@ -261,11 +451,22 @@ func TestSparseSelectionErrors(t *testing.T) {
 			t.Fatal("want error")
 		}
 	})
-	t.Run("colored update needs single tile", func(t *testing.T) {
+	t.Run("colored update runs tiled", func(t *testing.T) {
 		cfg := coloredConfig(mDense.N())
 		cfg.TileSize = 32
-		if _, err := NewSolver(mDense, cfg); err == nil {
-			t.Fatal("want error")
+		solver, err := NewSolver(mDense, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if solver.grid.Tiles != 4 {
+			t.Fatalf("%d tiles, want 4", solver.grid.Tiles)
+		}
+		res, err := solver.Run(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.GlobalItersRun != cfg.GlobalIters {
+			t.Fatalf("ran %d of %d global iterations", res.GlobalItersRun, cfg.GlobalIters)
 		}
 	})
 	t.Run("colored update needs sparse density", func(t *testing.T) {

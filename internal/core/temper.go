@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Tempering portfolio runtime (DESIGN.md "Tempering portfolio runtime").
@@ -109,9 +108,6 @@ func (s *Solver) runTemperingCtx(ctx context.Context, seeds []int64, opts BatchO
 	if opts.EarlyStop {
 		return nil, fmt.Errorf("core: tempering and EarlyStop cannot combine (the ladder already couples the replicas; set Config.TargetEnergy alone to stop the whole portfolio)")
 	}
-	if s.cfg.ColoredUpdate {
-		return nil, fmt.Errorf("core: tempering requires the tiled datapath (ColoredUpdate runs single-tile)")
-	}
 
 	// Geometric ladder, coldest first. Each rung's solver view pins the
 	// rung's phi as a constant schedule; everything preprocessed —
@@ -145,145 +141,59 @@ func (s *Solver) runTemperingCtx(ctx context.Context, seeds []int64, opts BatchO
 		jobs = append(jobs, j)
 	}
 
-	// One shared PE pool for the whole ladder. Dispatch below is
-	// pair-major, so the pool sees every rung's job for pair p before
-	// any rung's job for pair p+1 — the reuse-aware interleaving.
-	type rungJob struct {
-		j   *jobRun
-		pi  int
-		phi float64
-	}
+	// One shared PE pool for the whole ladder, stepped in lockstep with
+	// the exchange boundary as the driver's hook.
 	workers := opts.Workers
 	if workers == 0 {
 		workers = s.cfg.workers()
-	}
-	work := make(chan rungJob)
-	defer close(work)
-	var round sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		go func() {
-			for jb := range work {
-				jb.j.localPair(jb.pi, jb.phi)
-				round.Done()
-			}
-		}()
-	}
-
-	nPairs := s.grid.PairCount()
-	selBy := make([][]bool, rungs)
-	for r := range selBy {
-		selBy[r] = make([]bool, nPairs)
 	}
 	stream := uint64(seedStream(seeds[0], roleExchange, 0))
 	exchangeEvery := topts.exchangeEvery()
 	stats := &TemperingStats{Phis: phis}
 	curr := make([]float64, rungs)
+	iters := s.cfg.GlobalIters
 
-	// markStopped flags every rung that did not reach the target as cut
-	// short — unless the portfolio was already at its natural end.
-	markStopped := func(g int) {
-		if g >= s.cfg.GlobalIters {
-			return
+	// exchange re-anchors every rung's energy exactly on its current
+	// reconciled state, then sweeps the ladder bottom-up with the
+	// Metropolis rule on the stateless exchange stream. phi plays the
+	// role of temperature: dBeta > 0 for every adjacent pair, so a
+	// hotter rung holding the lower energy always swaps down.
+	exchange := func(g int) bool {
+		if g%exchangeEvery != 0 || g >= iters {
+			return false
 		}
-		for _, j := range jobs {
-			if !j.res.ReachedTarget {
-				j.res.Stopped = true
-			}
-		}
-	}
-
-	iters := jobs[0].rc.cfg.GlobalIters
-loop:
-	for g := 1; g <= iters; g++ {
-		// Caller cancellation, observed once per lockstep iteration.
-		for _, j := range jobs {
-			if j.shouldStop() {
-				for _, o := range jobs {
-					o.res.Stopped = true
-				}
-				break loop
-			}
-		}
-
-		// Controller phases run rung-sequentially: each rung's selection
-		// and load draw only from that rung's streams, so the order is
-		// fixed and scheduling-free.
-		total := 0
 		for r, j := range jobs {
-			j.beginIter(g) // returns the constant phis[r]
-			sel := selBy[r]
-			for pi := range sel {
-				sel[pi] = false
-			}
-			for _, pi := range j.selected {
-				sel[pi] = true
-			}
-			total += len(j.selected)
+			e := j.currentEnergy()
+			j.observeEnergy(g, e)
+			curr[r] = e
 		}
-
-		// Pair-major dispatch over the shared pool.
-		round.Add(total)
-		for pi := 0; pi < nPairs; pi++ {
-			for r, j := range jobs {
-				if selBy[r][pi] {
-					work <- rungJob{j: j, pi: pi, phi: phis[r]}
-				}
+		for r := 0; r+1 < rungs; r++ {
+			stats.Attempted++
+			dBeta := 1/phis[r] - 1/phis[r+1]
+			dE := curr[r] - curr[r+1]
+			ok := dBeta*dE >= 0 || exchangeUniform(stream, g, r) < math.Exp(dBeta*dE)
+			if ok {
+				jobs[r].swapStateWith(jobs[r+1])
+				curr[r], curr[r+1] = curr[r+1], curr[r]
+				stats.Accepted++
 			}
+			jobs[r].run.Exchange(g, r, ok, dE)
 		}
-		round.Wait()
-
+		// An exchange-boundary evaluation can reach the target between
+		// endIter's eval points; check deterministically here so the
+		// portfolio stops the same way at any worker count.
 		reached := false
-		for _, j := range jobs {
-			if j.endIter(g) {
-				reached = true
-			}
-		}
-		if reached {
-			markStopped(g)
-			break
-		}
-
-		// Exchange boundary: re-anchor every rung's energy exactly on its
-		// current reconciled state, then sweep the ladder bottom-up with
-		// the Metropolis rule on the stateless exchange stream. phi plays
-		// the role of temperature: dBeta > 0 for every adjacent pair, so
-		// a hotter rung holding the lower energy always swaps down.
-		if g%exchangeEvery == 0 && g < iters {
-			for r, j := range jobs {
-				e := j.currentEnergy()
-				j.observeEnergy(g, e)
-				curr[r] = e
-			}
-			for r := 0; r+1 < rungs; r++ {
-				stats.Attempted++
-				dBeta := 1/phis[r] - 1/phis[r+1]
-				dE := curr[r] - curr[r+1]
-				ok := dBeta*dE >= 0 || exchangeUniform(stream, g, r) < math.Exp(dBeta*dE)
-				if ok {
-					jobs[r].swapStateWith(jobs[r+1])
-					curr[r], curr[r+1] = curr[r+1], curr[r]
-					stats.Accepted++
-				}
-				jobs[r].run.Exchange(g, r, ok, dE)
-			}
-			// An exchange-boundary evaluation can reach the target between
-			// endIter's eval points; check deterministically here so the
-			// portfolio stops the same way at any worker count.
-			if tgt := s.cfg.TargetEnergy; tgt != nil {
-				for _, j := range jobs {
-					if j.res.BestEnergy <= *tgt {
-						j.res.ReachedTarget = true
-						reached = true
-					}
-				}
-				if reached {
-					markStopped(g)
-					break
+		if tgt := s.cfg.TargetEnergy; tgt != nil {
+			for _, j := range jobs {
+				if j.res.BestEnergy <= *tgt {
+					j.res.ReachedTarget = true
+					reached = true
 				}
 			}
 		}
+		return reached
 	}
-	finishAll()
+	lockstep(jobs, workers, exchange)
 
 	results := make([]*Result, rungs)
 	for r, j := range jobs {
