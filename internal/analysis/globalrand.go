@@ -14,8 +14,9 @@ import (
 //     process-global source (rand.Intn, rand.Float64, ...): the global
 //     source is locked (contention in the PE worker pool) and not
 //     reproducible per job;
-//   - package-level variables of type *rand.Rand or rand.Source: one
-//     shared stream makes results depend on goroutine schedule;
+//   - package-level variables of type *rand.Rand or rand.Source (or a
+//     named struct holding one, see isRNGType): one shared stream makes
+//     results depend on goroutine schedule;
 //   - a *rand.Rand (or rand.Source) captured by a `go func` literal
 //     from an enclosing scope, or passed as an argument in a `go`
 //     statement: rand.Rand is not safe for concurrent use, and even a
@@ -46,8 +47,38 @@ func isRandPkg(path string) bool {
 }
 
 // isRNGType reports whether t is (a pointer to) math/rand's Rand or an
-// implementation-bearing Source.
+// implementation-bearing Source, or to a named struct with a field of
+// one of those types. A thin stream wrapper (internal/core's
+// normStream, which holds a rand.Source64) is the same unsynchronized,
+// order-sensitive state as the source inside it, so the package-level
+// and goroutine rules apply to it too. Only direct fields count: a
+// struct that merely points at such a wrapper is not itself a stream.
 func isRNGType(t types.Type) bool {
+	if isRandRNG(t) {
+		return true
+	}
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	st, ok := named.Underlying().(*types.Struct)
+	if !ok {
+		return false
+	}
+	for i := 0; i < st.NumFields(); i++ {
+		if isRandRNG(st.Field(i).Type()) {
+			return true
+		}
+	}
+	return false
+}
+
+// isRandRNG reports whether t is (a pointer to) math/rand's Rand,
+// Source or Source64.
+func isRandRNG(t types.Type) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
@@ -148,8 +179,10 @@ func checkGoStmt(pass *Pass, g *ast.GoStmt) {
 		if !ok {
 			return true
 		}
+		// A field selection (x.rng) is not a capture: the captured
+		// variable is x, which is checked on its own.
 		obj, ok := pass.Info.Uses[ident].(*types.Var)
-		if !ok || !isRNGType(obj.Type()) {
+		if !ok || obj.IsField() || !isRNGType(obj.Type()) {
 			return true
 		}
 		if obj.Pos() < lit.Pos() || obj.Pos() > lit.End() {

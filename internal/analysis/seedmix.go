@@ -29,32 +29,54 @@ var SeedMixAnalyzer = &Analyzer{
 	Register: registerSeedMix,
 }
 
-// seedConsumers are the math/rand constructors whose integer arguments
-// become stream seeds.
+// seedConsumers are the constructors whose integer arguments become
+// stream seeds: math/rand's, and the repo's own stream constructors.
 var seedConsumers = map[string]bool{
 	"NewSource": true, // math/rand
 	"NewPCG":    true, // math/rand/v2
 	"Seed":      true, // (*rand.Rand).Seed and the deprecated package func
+	// internal/core's threshold-noise stream, seeded like NewSource.
+	"newNormStream": true,
 }
 
 func registerSeedMix(pass *Pass, ins *Inspector) {
 	ins.Preorder([]ast.Node{(*ast.CallExpr)(nil)}, func(n ast.Node) {
 		call := n.(*ast.CallExpr)
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !seedConsumers[sel.Sel.Name] {
-			return
-		}
-		if !isRandSelector(pass, sel) {
+		name, ok := seedConsumer(pass, call)
+		if !ok {
 			return
 		}
 		for _, arg := range call.Args {
 			if op, bad := findRawMix(pass, arg); bad {
 				pass.Reportf(arg.Pos(),
-					"raw %q seed derivation in rand.%s: related base seeds collide; derive the stream seed through a splitmix64-style mixing function instead",
-					op.String(), sel.Sel.Name)
+					"raw %q seed derivation in %s: related base seeds collide; derive the stream seed through a splitmix64-style mixing function instead",
+					op.String(), name)
 			}
 		}
 	})
+}
+
+// seedConsumer reports whether call constructs or reseeds a stream and
+// names the consumer: a math/rand selector (rand.NewSource,
+// r.Seed), or a call of a repo constructor listed in seedConsumers
+// that returns an RNG-typed stream (isRNGType).
+func seedConsumer(pass *Pass, call *ast.CallExpr) (string, bool) {
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		if seedConsumers[fun.Sel.Name] && isRandSelector(pass, fun) {
+			return "rand." + fun.Sel.Name, true
+		}
+	case *ast.Ident:
+		fn, ok := pass.Info.Uses[fun].(*types.Func)
+		if !ok || !seedConsumers[fn.Name()] {
+			return "", false
+		}
+		res := fn.Type().(*types.Signature).Results()
+		if res.Len() == 1 && isRNGType(res.At(0).Type()) {
+			return fn.Name(), true
+		}
+	}
+	return "", false
 }
 
 // isRandSelector reports whether sel resolves into math/rand (package

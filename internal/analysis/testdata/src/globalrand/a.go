@@ -42,3 +42,45 @@ func goodLocal(seed int64) int {
 }
 
 func consume(r *rand.Rand) int64 { return r.Int63() }
+
+// stream is a named wrapper around a source: the same RNG state as the
+// source inside it.
+type stream struct {
+	src rand.Source64
+}
+
+func (s stream) next() uint64 { return s.src.Uint64() }
+
+var sharedStream stream // want `package-level RNG`
+
+// job points at RNG-bearing state one level down; it is not itself a
+// stream.
+type job struct {
+	s    *stream
+	seed int64
+}
+
+var template job // ok: not RNG state itself
+
+// capturedStream leaks one wrapped stream into two goroutines.
+func capturedStream(seed int64) {
+	s := stream{src: rand.NewSource(seed).(rand.Source64)}
+	go func() {
+		_ = s.next() // want `captured by a go func literal`
+	}()
+	go drain(s) // want `passed across a goroutine boundary`
+	_ = s.next()
+}
+
+// fieldOnly hands a goroutine a job whose stream field it reads: the
+// field selection is not a capture of its own.
+func fieldOnly(j job) {
+	done := make(chan struct{})
+	go func(j job) {
+		_ = j.s.next()
+		close(done)
+	}(j)
+	<-done
+}
+
+func drain(s stream) uint64 { return s.next() }

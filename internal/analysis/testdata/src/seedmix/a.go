@@ -52,3 +52,31 @@ func mixed(seed int64, i int) *rand.Rand {
 func literal() rand.Source {
 	return rand.NewSource(9)
 }
+
+// normStream stands in for the repo's threshold-noise stream: a named
+// wrapper around a math/rand source, seeded through newNormStream.
+type normStream struct {
+	src rand.Source64
+}
+
+func newNormStream(seed int64) normStream {
+	return normStream{src: rand.NewSource(seed).(rand.Source64)}
+}
+
+// legacyStream walks pair seeds additively into the stream constructor.
+func legacyStream(seed int64, i int) normStream {
+	return newNormStream(seed + int64(i)) // want `raw "\+" seed derivation in newNormStream`
+}
+
+// mixedStream derives the stream seed through the mixer: fine.
+func mixedStream(seed int64, i int) normStream {
+	return newNormStream(mix(seed, i))
+}
+
+// newPadding shares nothing with a stream but the seed-like argument:
+// not a consumer, so its arithmetic is its own business.
+func newPadding(seed int64) int64 { return seed }
+
+func padded(seed int64) int64 {
+	return newPadding(seed + 1)
+}

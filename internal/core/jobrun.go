@@ -27,10 +27,11 @@ import (
 //
 // Concurrency contract: beginIter, endIter, and every other method
 // except localPair are controller-side — they must be called from one
-// goroutine per jobRun, in iteration order. localPair(pi) touches only
-// states[pi] and the (concurrency-safe) engine view, so distinct pairs
-// of one jobRun — and any pairs of distinct jobRuns — may run
-// concurrently between a beginIter and its endIter.
+// goroutine per jobRun, in iteration order. localPair(pi, w) touches
+// only states[pi], the calling PE worker's scratch w, and the
+// (concurrency-safe) engine view, so distinct pairs of one jobRun — and
+// any pairs of distinct jobRuns — may run concurrently on distinct
+// workers between a beginIter and its endIter.
 type jobRun struct {
 	rc   *runContext
 	seed int64
@@ -178,10 +179,15 @@ func newJobRun(rc *runContext, seed int64) (*jobRun, error) {
 	// given seed regardless of goroutine scheduling. Streams are
 	// separated by seedStream (see seed.go) so no pair shares a stream
 	// with the controller, a sibling pair, or any stream of another
-	// batched job.
+	// batched job. A colored diagonal pair draws only the stateless
+	// coloredNormal stream, so it gets no threshold-noise source.
 	j.states = make([]*pairState, nPairs)
 	for i := range j.states {
-		j.states[i] = newPairState(t, seedStream(seed, rolePair, i), rc.pairs[i].IsDiagonal(), j.useDelta)
+		st := newPairState(t, rc.pairs[i].IsDiagonal(), j.useDelta)
+		if !j.coloredPair(i) {
+			st.noise = newNormStream(seedStream(seed, rolePair, i))
+		}
+		j.states[i] = st
 	}
 
 	n := rc.model.N()
@@ -297,16 +303,22 @@ func (j *jobRun) beginIter(g int) {
 	j.run.LoadDone(g, len(j.selected))
 }
 
+// coloredPair reports whether pair pi runs the colored sweep.
+func (j *jobRun) coloredPair(pi int) bool {
+	return j.rc.colored != nil && j.rc.colored[pi] != nil
+}
+
 // localPair runs the local-iteration batch of one selected pair — the
-// PE worker body. Safe to call concurrently for distinct pairs.
-func (j *jobRun) localPair(pi int) {
+// PE worker body, on the calling worker's private scratch w. Safe to
+// call concurrently for distinct pairs and distinct scratch.
+func (j *jobRun) localPair(pi int, w *peScratch) {
 	switch {
-	case j.rc.colored != nil && j.rc.colored[pi] != nil:
+	case j.coloredPair(pi):
 		j.sweepColored(pi)
 	case j.useDelta:
-		j.rc.runLocalIterationsDelta(j.states[pi], j.rc.pairs[pi], pi, j.phi)
+		j.rc.runLocalIterationsDelta(j.states[pi], j.rc.pairs[pi], pi, j.phi, w.block(j.rc.cfg.TileSize))
 	default:
-		j.rc.runLocalIterations(j.states[pi], j.rc.pairs[pi], pi, j.phi)
+		j.rc.runLocalIterations(j.states[pi], j.rc.pairs[pi], pi, j.phi, w.block(j.rc.cfg.TileSize))
 	}
 }
 
@@ -424,9 +436,10 @@ func (j *jobRun) swapStateWith(o *jobRun) {
 // diagonal pair's colored sweep — from a buffered side queue. The pool
 // drains and exits when the driver closes pairs, so early exits leak
 // nothing. Determinism does not depend on which worker runs what: each
-// pair owns its persistent RNG stream in states[pi], shards write
-// disjoint memory, and the round and shard WaitGroups order all PE
-// writes before the reads that follow them.
+// pair owns its persistent RNG stream in states[pi], each worker owns
+// its peScratch (whose contents never outlive one threshold pass),
+// shards write disjoint memory, and the round and shard WaitGroups
+// order all PE writes before the reads that follow them.
 type pePool struct {
 	width  int
 	pairs  chan peTask
@@ -448,6 +461,23 @@ type peShard struct {
 func (sh peShard) run() {
 	sh.f(sh.part)
 	sh.done.Done()
+}
+
+// peScratch is one PE worker's private scratch, handed to every pair it
+// runs: the t-length block a threshold pass draws its noise and builds
+// its pre-threshold values in. It is allocated by the first pair that
+// thresholds, so a worker that only sweeps colored pairs never holds
+// one, and it is sized by the tile, not the pair count, so a job's
+// scratch stays width·t however many pairs it has.
+type peScratch struct {
+	buf []float64
+}
+
+func (w *peScratch) block(t int) []float64 {
+	if len(w.buf) < t {
+		w.buf = make([]float64, t)
+	}
+	return w.buf[:t]
 }
 
 // parallel runs f(part) for every part in [0, parts) and returns once
@@ -509,13 +539,14 @@ func lockstep(jobs []*jobRun, width int, exchange func(g int) bool) {
 	}
 	for w := 0; w < width; w++ {
 		go func() {
+			var scratch peScratch
 			for {
 				select {
 				case t, ok := <-pool.pairs:
 					if !ok {
 						return
 					}
-					t.j.localPair(t.pi)
+					t.j.localPair(t.pi, &scratch)
 					pool.round.Done()
 				case sh := <-pool.shards:
 					sh.run()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"sophie/internal/ising"
 	"sophie/internal/linalg"
@@ -264,7 +265,10 @@ type pairState struct {
 	pRowCol        []float64 // reported partial sum C_{r,c}·x_c
 	pColRow        []float64 // reported partial sum C_{c,r}·x_r
 	y              []float64 // MVM scratch (reference path)
-	rng            *rand.Rand
+
+	// noise is the pair's threshold-noise stream, unset on a colored
+	// diagonal pair (its sweep draws the stateless coloredNormal).
+	noise normStream
 
 	// Incremental-datapath state: yRow/yCol hold the pure (offset-free)
 	// products C_{r,c}·x_c and C_{c,r}·x_r kept alive across local
@@ -285,13 +289,13 @@ type pairState struct {
 // buffers on the delta path, and the column-side buffers only for an
 // off-diagonal pair (a diagonal tile loops on its row block alone).
 // Live PE scratch is the bulk of a large tiled job's heap during its
-// solve, so buffers a pair never touches are left nil.
-func newPairState(t int, seed int64, diagonal, delta bool) *pairState {
+// solve, so buffers a pair never touches are left nil. The caller seeds
+// st.noise on every pair that thresholds with it.
+func newPairState(t int, diagonal, delta bool) *pairState {
 	st := &pairState{
 		xRow:    make([]float64, t),
 		offRow:  make([]float64, t),
 		pRowCol: make([]float64, t),
-		rng:     rand.New(rand.NewSource(seed)),
 	}
 	if delta {
 		st.yRow = make([]float64, t)
@@ -421,8 +425,9 @@ func buildOffsetCached(off, rowSumRow, skip []float64) {
 // one pair (Section III-A1). For an off-diagonal pair the two tiles
 // alternate through the bi-directional array; a diagonal tile loops on
 // itself. The final iteration's partial sums are read through the 8-bit
-// ADC (QuantizeReadout) for the upcoming synchronization.
-func (s *runContext) runLocalIterations(st *pairState, p tiling.Pair, pi int, phi float64) {
+// ADC (QuantizeReadout) for the upcoming synchronization. buf is the
+// PE worker's t-length threshold scratch (see threshold).
+func (s *runContext) runLocalIterations(st *pairState, p tiling.Pair, pi int, phi float64, buf []float64) {
 	cfg := &s.cfg
 	grid := s.grid
 	rowLo, _ := grid.BlockRange(p.Row)
@@ -433,7 +438,7 @@ func (s *runContext) runLocalIterations(st *pairState, p tiling.Pair, pi int, ph
 			for i := range st.y {
 				st.y[i] += st.offRow[i]
 			}
-			s.threshold(st.xRow, st.y, rowLo, st.rng, phi)
+			s.threshold(st.xRow, st.y, rowLo, st.noise, buf, phi)
 			continue
 		}
 		// Output block Row accumulates C_{Row,Col}·x_Col.
@@ -441,13 +446,13 @@ func (s *runContext) runLocalIterations(st *pairState, p tiling.Pair, pi int, ph
 		for i := range st.y {
 			st.y[i] += st.offRow[i]
 		}
-		s.threshold(st.xRow, st.y, rowLo, st.rng, phi)
+		s.threshold(st.xRow, st.y, rowLo, st.noise, buf, phi)
 		// Output block Col accumulates C_{Col,Row}·x_Row = tileᵀ·x_Row.
 		s.eng.Mul(pi, true, st.xRow, st.y)
 		for i := range st.y {
 			st.y[i] += st.offCol[i]
 		}
-		s.threshold(st.xCol, st.y, colLo, st.rng, phi)
+		s.threshold(st.xCol, st.y, colLo, st.noise, buf, phi)
 	}
 	// 8-bit readout of the final local partial sums (no offsets): these
 	// update the controller's partial-sum table at synchronization.
@@ -474,8 +479,10 @@ func (s *runContext) runLocalIterations(st *pairState, p tiling.Pair, pi int, ph
 // final readout recomputes both partial sums with the exact binary
 // kernel so the published values carry no accumulated drift. Noise
 // draws per element are identical in count and order to the reference
-// path, keeping the two paths on the same RNG trajectory.
-func (s *runContext) runLocalIterationsDelta(st *pairState, p tiling.Pair, pi int, phi float64) {
+// path, keeping the two paths on the same RNG trajectory: both draw a
+// block's deviates into buf, the PE worker's threshold scratch, with
+// one normStream.fill before comparing (see thresholdDelta).
+func (s *runContext) runLocalIterationsDelta(st *pairState, p tiling.Pair, pi int, phi float64, buf []float64) {
 	cfg := &s.cfg
 	grid := s.grid
 	refresh := cfg.deltaRefresh()
@@ -484,7 +491,7 @@ func (s *runContext) runLocalIterationsDelta(st *pairState, p tiling.Pair, pi in
 	if p.IsDiagonal() {
 		for l := 0; l < cfg.LocalIters; l++ {
 			s.advance(pi, false, st.xRow, st.rowFlips, st.rowSigns, st.yRow, l%refresh == 0)
-			s.thresholdDelta(st.xRow, st.yRow, st.offRow, rowLo, st.rng, phi, &st.rowFlips, &st.rowSigns)
+			s.thresholdDelta(st.xRow, st.yRow, st.offRow, rowLo, st.noise, buf, phi, &st.rowFlips, &st.rowSigns)
 		}
 		s.binaryMul(pi, false, st.xRow, st.pRowCol)
 		s.quantizeReadout(st.pRowCol)
@@ -494,11 +501,11 @@ func (s *runContext) runLocalIterationsDelta(st *pairState, p tiling.Pair, pi in
 		// Output block Row accumulates C_{Row,Col}·x_Col; x_Col last
 		// changed in the previous iteration's second threshold pass.
 		s.advance(pi, false, st.xCol, st.colFlips, st.colSigns, st.yRow, l%refresh == 0)
-		s.thresholdDelta(st.xRow, st.yRow, st.offRow, rowLo, st.rng, phi, &st.rowFlips, &st.rowSigns)
+		s.thresholdDelta(st.xRow, st.yRow, st.offRow, rowLo, st.noise, buf, phi, &st.rowFlips, &st.rowSigns)
 		// Output block Col accumulates C_{Col,Row}·x_Row = tileᵀ·x_Row,
 		// where x_Row was just updated above.
 		s.advance(pi, true, st.xRow, st.rowFlips, st.rowSigns, st.yCol, l%refresh == 0)
-		s.thresholdDelta(st.xCol, st.yCol, st.offCol, colLo, st.rng, phi, &st.colFlips, &st.colSigns)
+		s.thresholdDelta(st.xCol, st.yCol, st.offCol, colLo, st.noise, buf, phi, &st.colFlips, &st.colSigns)
 	}
 	s.binaryMul(pi, false, st.xCol, st.pRowCol)
 	s.binaryMul(pi, true, st.xRow, st.pColRow)
@@ -509,12 +516,19 @@ func (s *runContext) runLocalIterationsDelta(st *pairState, p tiling.Pair, pi in
 // threshold applies the noisy comparison of Eq. 5-6 element-wise,
 // writing binarized states into dst. blockLo maps tile-local indices to
 // padded global node indices for θ and the noise scale. phi is the
-// (possibly annealed) noise level of the current global iteration.
-func (s *Solver) threshold(dst, y []float64, blockLo int, rng *rand.Rand, phi float64) {
+// (possibly annealed) noise level of the current global iteration. With
+// phi > 0 it runs in two passes, like thresholdDelta: the block's
+// len(y) deviates first (rng.fill into buf, the caller's scratch of at
+// least len(y)), then the comparison over them.
+func (s *Solver) threshold(dst, y []float64, blockLo int, rng normStream, buf []float64, phi float64) {
+	if phi > 0 {
+		buf = buf[:len(y)]
+		rng.fill(buf)
+	}
 	for i := range y {
 		v := y[i]
 		if phi > 0 {
-			v += rng.NormFloat64() * phi * s.noiseScale[blockLo+i]
+			v += buf[i] * phi * s.noiseScale[blockLo+i]
 		}
 		if v < s.thresholds[blockLo+i] {
 			dst[i] = 0
@@ -530,46 +544,52 @@ func (s *Solver) threshold(dst, y []float64, blockLo int, rng *rand.Rand, phi fl
 // how much (±1), into the caller's flip buffers. The arithmetic per
 // element — one add, then the same noise expression — rounds identically
 // to the reference threshold applied after the reference path's
-// y += off loop. The θ and noise-scale views are hoisted out of the
-// loop and the noise branch is lifted to a loop split: this pass runs
-// once per element per local iteration and dominates the fast path's
-// residual cost.
-func (s *Solver) thresholdDelta(dst, y, off []float64, blockLo int, rng *rand.Rand, phi float64, flips *[]int, signs *[]float64) {
+// y += off loop. This pass runs once per element per local iteration
+// and dominates the fast path's cost, so it runs as two plain passes
+// over buf, the PE worker's scratch (len ≥ len(y)):
+//
+//  1. Pre-threshold values. With phi > 0, rng.fill draws the block's
+//     deviates into buf in one tight ziggurat loop and a second loop
+//     folds them into y + off; with phi = 0 buf is just y + off.
+//  2. Compare and record, branch-free: every element writes its new
+//     state and a candidate flip record, and the record count advances
+//     by old XOR new, so the loop carries no data-dependent branch for
+//     the unpredictable comparisons to mispredict.
+//
+// The comparison consumes no randomness, so drawing the block up front
+// takes the same words in the same order as one NormFloat64 per
+// element inside the compare loop did, and normStream is bit-identical
+// to NormFloat64: every trajectory is unchanged. DESIGN.md "Incremental
+// compute datapath" has the per-element costs.
+func (s *Solver) thresholdDelta(dst, y, off []float64, blockLo int, rng normStream, buf []float64, phi float64, flips *[]int, signs *[]float64) {
 	n := len(y)
-	th := s.thresholds[blockLo : blockLo+n]
-	f := (*flips)[:0]
-	sg := (*signs)[:0]
+	v := buf[:n]
 	if phi > 0 {
+		rng.fill(v)
 		scale := s.noiseScale[blockLo : blockLo+n]
 		for i, yv := range y {
-			v := yv + off[i]
-			v += rng.NormFloat64() * phi * scale[i]
-			var nv float64
-			if v >= th[i] {
-				nv = 1
-			}
-			if d := nv - dst[i]; d != 0 {
-				f = append(f, i)
-				sg = append(sg, d)
-				dst[i] = nv
-			}
+			v[i] = yv + off[i] + v[i]*phi*scale[i]
 		}
 	} else {
 		for i, yv := range y {
-			v := yv + off[i]
-			var nv float64
-			if v >= th[i] {
-				nv = 1
-			}
-			if d := nv - dst[i]; d != 0 {
-				f = append(f, i)
-				sg = append(sg, d)
-				dst[i] = nv
-			}
+			v[i] = yv + off[i]
 		}
 	}
-	*flips = f
-	*signs = sg
+	th := s.thresholds[blockLo : blockLo+n]
+	f := slices.Grow((*flips)[:0], n)[:n]
+	sg := slices.Grow((*signs)[:0], n)[:n]
+	k := 0
+	for i, vi := range v {
+		up := 0
+		if vi >= th[i] {
+			up = 1
+		}
+		was := int(dst[i])
+		dst[i] = float64(up)
+		f[k], sg[k] = i, float64(up-was)
+		k += up ^ was
+	}
+	*flips, *signs = f[:k], sg[:k]
 }
 
 // advance brings a pre-threshold accumulator up to date with its input

@@ -192,10 +192,9 @@ var coloredShapes = []coloredShape{
 	{name: "tempering", tileSize: 48, ladder: true},
 }
 
-// runColoredShape solves m on the shape with coloredConfig adjusted by
-// mutate, and returns every job's result: one for a lone run, one per
-// rung for a ladder.
-func runColoredShape(t *testing.T, m *ising.Model, sh coloredShape, mutate func(*Config)) *BatchResult {
+// coloredShapeSolver builds the solver for m on the shape with
+// coloredConfig adjusted by mutate.
+func coloredShapeSolver(t *testing.T, m *ising.Model, sh coloredShape, mutate func(*Config)) *Solver {
 	t.Helper()
 	cfg := coloredConfig(m.N())
 	if sh.tileSize > 0 {
@@ -206,6 +205,15 @@ func runColoredShape(t *testing.T, m *ising.Model, sh coloredShape, mutate func(
 	if err != nil {
 		t.Fatal(err)
 	}
+	return solver
+}
+
+// runColoredShape solves m on the shape with coloredConfig adjusted by
+// mutate, and returns every job's result: one for a lone run, one per
+// rung for a ladder.
+func runColoredShape(t *testing.T, m *ising.Model, sh coloredShape, mutate func(*Config)) *BatchResult {
+	t.Helper()
+	solver := coloredShapeSolver(t, m, sh, mutate)
 	if sh.ladder {
 		b, err := solver.RunTempering(mustSeedRange(17, 3), TemperingOptions{TMin: 0.05, TMax: 0.3, ExchangeEvery: 4})
 		if err != nil {
@@ -249,19 +257,19 @@ func TestColoredUpdateWorkerCountIndependence(t *testing.T) {
 	}
 }
 
-// coloredDigest condenses a result into the bits TestColoredUpdateGolden
+// resultDigest condenses a result into the bits TestColoredUpdateGolden
 // pins: BestEnergy, and FNV-64a hashes of BestSpins, the Trace's float
 // bits, and the Ops counters.
-type coloredDigest struct {
+type resultDigest struct {
 	energy, spins, trace, ops uint64
 }
 
-func digestResult(res *Result) coloredDigest {
+func digestResult(res *Result) resultDigest {
 	h := fnv.New64a()
 	for _, sp := range res.BestSpins {
 		h.Write([]byte{byte(sp)})
 	}
-	d := coloredDigest{energy: math.Float64bits(res.BestEnergy), spins: h.Sum64()}
+	d := resultDigest{energy: math.Float64bits(res.BestEnergy), spins: h.Sum64()}
 	h.Reset()
 	for _, v := range res.Trace {
 		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
@@ -281,7 +289,7 @@ func digestResult(res *Result) coloredDigest {
 // a zero offset must replay that loop exactly.
 func TestColoredUpdateGolden(t *testing.T) {
 	_, m := sparseProblem(t, graph.WeightUnit)
-	want := map[int64]coloredDigest{
+	want := map[int64]resultDigest{
 		1: {energy: 0xc071a00000000000, spins: 0x9d162d0c21025d0e, trace: 0xcb8bb0ccfe546c09, ops: 0x184ee066011814bc},
 		2: {energy: 0xc071800000000000, spins: 0xd9d0c597f59dbd52, trace: 0x242c9c3ac6737cfb, ops: 0x184ee066011814bc},
 		3: {energy: 0xc071a00000000000, spins: 0x45a71523dac1161e, trace: 0x8a62bca6aa5412fc, ops: 0x184ee066011814bc},
@@ -309,10 +317,31 @@ func TestColoredUpdateGolden(t *testing.T) {
 // self-consistent: ±1 spins, a best energy bit-equal to the model's own
 // evaluation of the best spins, a monotone best-so-far trace, a positive
 // cut, and op counters equal to the fold of the recorded event stream.
+// It also checks which pairs carry a threshold-noise source: a colored
+// diagonal pair draws only the stateless coloredNormal stream, so only
+// the pairs on the default update (off-diagonal ones, when tiled) get one.
 func TestColoredUpdateResultConsistency(t *testing.T) {
 	g, m := sparseProblem(t, graph.WeightUnit)
 	for _, sh := range coloredShapes {
 		t.Run(sh.name, func(t *testing.T) {
+			j, err := newJobRun(coloredShapeSolver(t, m, sh, func(*Config) {}).newRunContext(nil, 17, nil), 17)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeded := 0
+			for pi, st := range j.states {
+				if colored, has := j.coloredPair(pi), st.noise.src != nil; colored == has {
+					t.Fatalf("pair %d: colored %v but noise source %v", pi, colored, has)
+				}
+				if st.noise.src != nil {
+					seeded++
+				}
+			}
+			if want := len(j.states) - j.rc.grid.Tiles; seeded != want {
+				t.Fatalf("%d pairs seeded a noise source, want the %d off-diagonal ones", seeded, want)
+			}
+			j.finish()
+
 			rec := trace.NewRecorder(trace.Options{Capacity: 1 << 16})
 			b := runColoredShape(t, m, sh, func(c *Config) { c.Tracer = rec })
 			for r, res := range b.Results {
@@ -383,7 +412,7 @@ func TestColoredSingleTileOffsetResidue(t *testing.T) {
 					nonzero++
 				}
 			}
-			j.localPair(0)
+			j.localPair(0, new(peScratch))
 			j.endIter(it)
 		}
 		return nonzero
