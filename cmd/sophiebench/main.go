@@ -1,6 +1,6 @@
 // Command sophiebench runs the repository's tracked performance
 // benchmarks and emits a machine-readable JSON baseline (schema
-// "sophie-bench/v1"). The committed BENCH_PR9.json snapshots the
+// "sophie-bench/v1"). The committed BENCH_PR10.json snapshots the
 // incremental-datapath speedup on the G22-mini solver workload, the
 // underlying linalg kernel costs, the batched replica runtime's
 // throughput scaling, the cost of the trace emitters (per-phase
@@ -22,7 +22,7 @@
 // costs the worker) against a group-commit fsync'd append (the
 // durability point each accepted submission pays), with the derived
 // wal_overhead guarding that journaling stays a rounding error next
-// to one solve.
+// to one solve. `make bench-json` regenerates it at the -o default.
 // CI re-runs the suite
 // with -benchtime=1x as a smoke test and uploads the fresh report as
 // an artifact. See README.md "Benchmarks".
@@ -88,7 +88,7 @@ type benchmark struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR9.json", "output path for the JSON report")
+	out := flag.String("o", "BENCH_PR10.json", "output path for the JSON report")
 	benchtime := flag.String("benchtime", "2s", "per-benchmark budget (Go benchtime syntax, e.g. 2s or 1x)")
 	testing.Init()
 	flag.Parse()

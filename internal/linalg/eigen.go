@@ -10,11 +10,28 @@ import (
 // i-th column of V holding the eigenvector for values[i].
 //
 // The implementation is the classic two-stage dense symmetric solver:
-// Householder reduction to tridiagonal form followed by the implicit QL
-// algorithm with Wilkinson shifts. It is O(n³) and intended for the
-// preprocessing step of the PRIS/SOPHIE pipeline, where the paper's host
-// CPU performs the same work once per problem (Section II-C).
+// Householder reduction to tridiagonal form (tred2) followed by the
+// implicit QL algorithm with Wilkinson shifts (tqli). It is O(n³) and
+// intended for the preprocessing step of the PRIS/SOPHIE pipeline, where
+// the paper's host CPU performs the same work once per problem (Section
+// II-C). Every inner loop runs along a contiguous row of the row-major
+// storage; the QL rotations and the sort work on the transposed
+// transform, whose rows are the eigenvectors, and EigenSym transposes
+// back in place at the end. It allocates the working copy of K (which
+// becomes the returned vectors), d, e and one n-length scratch.
 func EigenSym(k *Matrix) (values []float64, vectors *Matrix, err error) {
+	values, vectors, err = eigenRows(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	vectors.transposeInPlace()
+	return values, vectors, nil
+}
+
+// eigenRows is EigenSym with the eigenvectors returned as rows: row i of
+// the result holds the eigenvector for values[i]. PRISTransform reads
+// them this way, contiguously, without the final transpose.
+func eigenRows(k *Matrix) ([]float64, *Matrix, error) {
 	n := k.rows
 	if k.cols != n {
 		return nil, nil, fmt.Errorf("%w: EigenSym needs a square matrix, got %dx%d", ErrDimensionMismatch, k.rows, k.cols)
@@ -30,6 +47,7 @@ func EigenSym(k *Matrix) (values []float64, vectors *Matrix, err error) {
 	d := make([]float64, n)
 	e := make([]float64, n)
 	tred2(a, d, e)
+	a.transposeInPlace()
 	if err := tqli(d, e, a); err != nil {
 		return nil, nil, err
 	}
@@ -38,91 +56,130 @@ func EigenSym(k *Matrix) (values []float64, vectors *Matrix, err error) {
 }
 
 // tred2 reduces the symmetric matrix held in a to tridiagonal form using
-// Householder transformations, accumulating the orthogonal transform in a.
-// On return d holds the diagonal and e the subdiagonal (e[0] unused).
-// This follows the standard EISPACK/Numerical Recipes formulation.
+// Householder transformations, accumulating the orthogonal transform Q
+// (A = Q·T·Qᵀ) in a. On return d holds the diagonal of T and e its
+// subdiagonal (e[0] unused). This is the EISPACK/Numerical Recipes formulation with its
+// two column walks turned into row walks; every element still receives
+// the same operations in the same order, so the output is bit-identical
+// to the textbook loop nest:
+//
+//   - Reduction, p = A·u/h. The textbook sums g_j = Σ_{k≤j} a(j,k)·u_k
+//     along row j, then Σ_{j<k≤l} a(k,j)·u_k down column j. Here all the
+//     row parts run first, then the column parts with k as the outer loop
+//     (reading row k): each g_j still adds its terms in increasing k.
+//     The a(j,i) = u_j/h stores go to the upper triangle, which this
+//     step never reads.
+//   - Accumulation, Q ← (I − u·uᵀ/h)·Q. Each g_j = Σ_k a(i,k)·a(k,j)
+//     reads column j only, and the rank-1 update of column j never feeds
+//     another g_{j'}. So every g_j is summed first (k outer, row k
+//     contiguous, one n-length scratch) and the update then runs row by
+//     row.
 func tred2(a *Matrix, d, e []float64) {
 	n := a.rows
+	m := a.data
 	for i := n - 1; i >= 1; i-- {
 		l := i - 1
+		ai := m[i*n : i*n+i] // row i left of the diagonal: u after scaling
 		h := 0.0
 		scale := 0.0
 		if l > 0 {
-			for k := 0; k <= l; k++ {
-				scale += math.Abs(a.At(i, k))
+			for _, v := range ai {
+				scale += math.Abs(v)
 			}
 			if scale == 0 {
-				e[i] = a.At(i, l)
+				e[i] = ai[l]
 			} else {
-				for k := 0; k <= l; k++ {
-					v := a.At(i, k) / scale
-					a.Set(i, k, v)
+				for k, v := range ai {
+					v /= scale
+					ai[k] = v
 					h += v * v
 				}
-				f := a.At(i, l)
+				f := ai[l]
 				g := math.Sqrt(h)
 				if f >= 0 {
 					g = -g
 				}
 				e[i] = scale * g
 				h -= f * g
-				a.Set(i, l, f-g)
-				f = 0.0
+				ai[l] = f - g
+				// e[j] accumulates g_j: the row part, then the column part.
 				for j := 0; j <= l; j++ {
-					a.Set(j, i, a.At(i, j)/h)
-					g = 0.0
-					for k := 0; k <= j; k++ {
-						g += a.At(j, k) * a.At(i, k)
+					aj := m[j*n : j*n+j+1]
+					u := ai[:len(aj)]
+					sum := 0.0
+					for k, v := range aj {
+						sum += v * u[k]
 					}
-					for k := j + 1; k <= l; k++ {
-						g += a.At(k, j) * a.At(i, k)
+					e[j] = sum
+				}
+				for k := 1; k <= l; k++ {
+					ak := m[k*n : k*n+k]
+					ek := e[:len(ak)]
+					uk := ai[k]
+					for j, v := range ak {
+						ek[j] += v * uk
 					}
-					e[j] = g / h
-					f += e[j] * a.At(i, j)
+				}
+				f = 0.0
+				for j, u := range ai {
+					m[j*n+i] = u / h
+					e[j] /= h
+					f += e[j] * u
 				}
 				hh := f / (h + h)
-				for j := 0; j <= l; j++ {
-					f = a.At(i, j)
+				for j := range ai {
+					f = ai[j]
 					g = e[j] - hh*f
 					e[j] = g
-					for k := 0; k <= j; k++ {
-						a.Add(j, k, -(f*e[k] + g*a.At(i, k)))
+					aj := m[j*n : j*n+j+1]
+					ej, u := e[:len(aj)], ai[:len(aj)]
+					for k := range aj {
+						aj[k] += -(f*ej[k] + g*u[k])
 					}
 				}
 			}
 		} else {
-			e[i] = a.At(i, l)
+			e[i] = ai[l]
 		}
 		d[i] = h
 	}
 	d[0] = 0.0
 	e[0] = 0.0
+	g := make([]float64, n)
 	for i := 0; i < n; i++ {
-		l := i - 1
+		ai := m[i*n : i*n+i]
 		if d[i] != 0 {
-			for j := 0; j <= l; j++ {
-				g := 0.0
-				for k := 0; k <= l; k++ {
-					g += a.At(i, k) * a.At(k, j)
+			gi := g[:i]
+			clear(gi)
+			for k, aik := range ai {
+				ak := m[k*n : k*n+i]
+				for j, v := range ak {
+					gi[j] += aik * v
 				}
-				for k := 0; k <= l; k++ {
-					a.Add(k, j, -g*a.At(k, i))
+			}
+			for k := range ai {
+				ak := m[k*n : k*n+i]
+				aki := m[k*n+i]
+				for j := range ak {
+					ak[j] += -gi[j] * aki
 				}
 			}
 		}
-		d[i] = a.At(i, i)
-		a.Set(i, i, 1.0)
-		for j := 0; j <= l; j++ {
-			a.Set(j, i, 0.0)
-			a.Set(i, j, 0.0)
+		d[i] = m[i*n+i]
+		m[i*n+i] = 1.0
+		for j := range ai {
+			m[j*n+i] = 0.0
+			ai[j] = 0.0
 		}
 	}
 }
 
 // tqli diagonalizes a symmetric tridiagonal matrix (diagonal d,
 // subdiagonal e with e[0] unused) using the implicit QL method with
-// shifts, accumulating the rotations into the columns of z. On return d
-// holds the eigenvalues and column j of z the eigenvector for d[j].
+// shifts, accumulating the rotations into the rows of z. On return d
+// holds the eigenvalues and row j of z the eigenvector for d[j]. z
+// enters as the transposed basis (tred2's transform, transposed, or the
+// identity), so each rotation combines two contiguous rows.
 func tqli(d, e []float64, z *Matrix) error {
 	n := len(d)
 	for i := 1; i < n; i++ {
@@ -171,10 +228,12 @@ func tqli(d, e []float64, z *Matrix) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				for k := 0; k < z.rows; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				zi, zj := z.Row(i), z.Row(i+1)
+				zj = zj[:len(zi)]
+				for k, x := range zi {
+					f = zj[k]
+					zj[k] = s*x + c*f
+					zi[k] = c*x - s*f
 				}
 			}
 			if underflow {
@@ -188,9 +247,9 @@ func tqli(d, e []float64, z *Matrix) error {
 	return nil
 }
 
-// sortEigen sorts eigenvalues ascending, permuting the eigenvector
-// columns of v to match. Selection sort keeps the column swaps simple and
-// the O(n²) cost is negligible next to the O(n³) decomposition.
+// sortEigen sorts eigenvalues ascending, permuting the eigenvector rows
+// of v to match. Selection sort keeps the row swaps simple and the O(n²)
+// cost is negligible next to the O(n³) decomposition.
 func sortEigen(d []float64, v *Matrix) {
 	n := len(d)
 	for i := 0; i < n-1; i++ {
@@ -202,10 +261,10 @@ func sortEigen(d []float64, v *Matrix) {
 		}
 		if min != i {
 			d[i], d[min] = d[min], d[i]
-			for r := 0; r < v.rows; r++ {
-				vi, vm := v.At(r, i), v.At(r, min)
-				v.Set(r, i, vm)
-				v.Set(r, min, vi)
+			vi, vm := v.Row(i), v.Row(min)
+			vm = vm[:len(vi)]
+			for c := range vi {
+				vi[c], vm[c] = vm[c], vi[c]
 			}
 		}
 	}

@@ -236,9 +236,10 @@ func TestThresholds(t *testing.T) {
 	}
 }
 
-func BenchmarkEigenSym64(b *testing.B) {
+func benchmarkEigenSym(b *testing.B, n int) {
 	rng := rand.New(rand.NewSource(1))
-	m := randomSym(64, rng)
+	m := randomSym(n, rng)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := EigenSym(m); err != nil {
@@ -246,6 +247,10 @@ func BenchmarkEigenSym64(b *testing.B) {
 		}
 	}
 }
+
+func BenchmarkEigenSym64(b *testing.B)  { benchmarkEigenSym(b, 64) }
+func BenchmarkEigenSym150(b *testing.B) { benchmarkEigenSym(b, 150) }
+func BenchmarkEigenSym256(b *testing.B) { benchmarkEigenSym(b, 256) }
 
 func BenchmarkMulVec256(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))

@@ -136,7 +136,7 @@ func EigenSymTopKOp(a Operator, k, iters int, seed int64) ([]float64, *Matrix, e
 	if err := tqli(d, e, z); err != nil {
 		return nil, nil, err
 	}
-	sortEigen(d, z) // ascending
+	sortEigen(d, z) // ascending; row j of z holds the Ritz coefficients for d[j]
 
 	if k > dim {
 		k = dim
@@ -146,8 +146,7 @@ func EigenSymTopKOp(a Operator, k, iters int, seed int64) ([]float64, *Matrix, e
 	for c := 0; c < k; c++ {
 		src := dim - 1 - c // descending pick
 		values[c] = d[src]
-		for j := 0; j < dim; j++ {
-			zj := z.At(j, src)
+		for j, zj := range z.Row(src) {
 			if zj == 0 {
 				continue
 			}

@@ -103,6 +103,17 @@ func (m *Matrix) Transpose() *Matrix {
 	return t
 }
 
+// transposeInPlace transposes the square matrix m in its own storage.
+func (m *Matrix) transposeInPlace() {
+	n := m.rows
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			m.data[i*n+j], m.data[j*n+i] = m.data[j*n+i], m.data[i*n+j]
+		}
+	}
+	m.mirror = nil
+}
+
 // IsSymmetric reports whether m is square and symmetric within tol.
 func (m *Matrix) IsSymmetric(tol float64) bool {
 	if m.rows != m.cols {

@@ -1,9 +1,10 @@
 package linalg
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Operator is a symmetric linear operator, the abstraction iterative
@@ -75,30 +76,13 @@ type Entry struct {
 // lower-triangle entries: each off-diagonal entry (r,c,v) also inserts
 // (c,r,v). Duplicate coordinates are summed. Zero values are dropped.
 //
-// Construction is a sort-and-merge build: the mirrored entry list is
-// sorted by (row, col) with a stable sort and adjacent duplicates are
-// summed in input order — the same accumulation order the previous
-// map-based build used, without the map's allocation cost, which
-// dominated million-edge constructions now that CSR sits on the hot
-// solve path.
+// Construction is a counting build (buildCSR): entries and their
+// mirrors are bucketed by row, each row is stably ordered by column,
+// and duplicates are summed in input order. It costs O(nnz) plus the
+// per-row sorts, which matters for million-edge constructions now that
+// CSR sits on the hot solve path.
 func NewCSRSym(n int, entries []Entry) (*CSR, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("linalg: negative CSR order %d", n)
-	}
-	if err := checkCSRSize(n, 0); err != nil {
-		return nil, err
-	}
-	all := make([]Entry, 0, 2*len(entries))
-	for _, e := range entries {
-		if e.Row < 0 || e.Row >= n || e.Col < 0 || e.Col >= n {
-			return nil, fmt.Errorf("linalg: CSR entry (%d,%d) out of range for order %d", e.Row, e.Col, n)
-		}
-		all = append(all, e)
-		if e.Row != e.Col {
-			all = append(all, Entry{Row: e.Col, Col: e.Row, Val: e.Val})
-		}
-	}
-	return buildCSR(n, all)
+	return buildCSR(n, entries, true)
 }
 
 // NewCSRGeneral builds a square CSR matrix of order n from coordinate
@@ -107,61 +91,129 @@ func NewCSRSym(n int, entries []Entry) (*CSR, error) {
 // are dropped. The tiling layer uses it for the off-diagonal tile
 // blocks of a symmetric matrix, which are square but not symmetric.
 func NewCSRGeneral(n int, entries []Entry) (*CSR, error) {
+	return buildCSR(n, entries, false)
+}
+
+// buildCSR validates entries and assembles the CSR with a counting
+// build. With mirror set, each off-diagonal entry (r,c,v) is followed by
+// (c,r,v), as if the caller had listed it. The steps:
+//
+//  1. count coordinates per row into rowPtr and prefix-sum;
+//  2. scatter them, in input order, into colIdx/vals, advancing rowPtr
+//     itself as the per-row cursor (then shifted back one row);
+//  3. order each row stably by column (sortRow);
+//  4. merge duplicate coordinates in place, summing in input order, and
+//     drop zero sums.
+//
+// Stability in steps 2–3 keeps each duplicate sum in input order, the
+// order a stable (row, col) comparison sort gives, so the rounding of
+// every sum is fixed by the input alone. entries is only read. Besides the CSR itself the build
+// allocates nothing unless some row is longer than insertionSortMax,
+// which gets one scratch buffer of the longest row's length. The order
+// and the stored coordinate count are checked (checkCSRSize) before
+// anything is allocated or summed into int32.
+func buildCSR(n int, entries []Entry, mirror bool) (*CSR, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("linalg: negative CSR order %d", n)
 	}
-	if err := checkCSRSize(n, 0); err != nil {
-		return nil, err
-	}
+	nnz := len(entries)
 	for _, e := range entries {
 		if e.Row < 0 || e.Row >= n || e.Col < 0 || e.Col >= n {
 			return nil, fmt.Errorf("linalg: CSR entry (%d,%d) out of range for order %d", e.Row, e.Col, n)
 		}
-	}
-	return buildCSR(n, append([]Entry(nil), entries...))
-}
-
-// buildCSR assembles a CSR from validated entries: stable-sort by
-// (row, col), sum adjacent duplicates (stability keeps the summation in
-// input order, so duplicate handling rounds exactly as the old
-// map-accumulator build did), drop zero sums. It takes ownership of
-// entries and reorders it. n must already have passed checkCSRSize; the
-// merged non-zero count is checked before the row counts are summed
-// into int32 pointers.
-func buildCSR(n int, entries []Entry) (*CSR, error) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].Row != entries[j].Row {
-			return entries[i].Row < entries[j].Row
+		if mirror && e.Row != e.Col {
+			nnz++
 		}
-		return entries[i].Col < entries[j].Col
-	})
-	m := &CSR{
-		n:      n,
-		rowPtr: make([]int32, n+1),
-		colIdx: make([]int32, 0, len(entries)),
-		vals:   make([]float64, 0, len(entries)),
 	}
-	for k := 0; k < len(entries); {
-		r, c, v := entries[k].Row, entries[k].Col, entries[k].Val
-		k++
-		for k < len(entries) && entries[k].Row == r && entries[k].Col == c {
-			v += entries[k].Val
-			k++
-		}
-		if v == 0 {
-			continue
-		}
-		m.colIdx = append(m.colIdx, int32(c))
-		m.vals = append(m.vals, v)
-		m.rowPtr[r+1]++
-	}
-	if err := checkCSRSize(n, len(m.vals)); err != nil {
+	if err := checkCSRSize(n, nnz); err != nil {
 		return nil, err
 	}
-	for r := 0; r < n; r++ {
-		m.rowPtr[r+1] += m.rowPtr[r]
+	rowPtr := make([]int32, n+1)
+	for _, e := range entries {
+		rowPtr[e.Row+1]++
+		if mirror && e.Row != e.Col {
+			rowPtr[e.Col+1]++
+		}
 	}
-	return m, nil
+	longest := int32(0)
+	for r := 0; r < n; r++ {
+		longest = max(longest, rowPtr[r+1])
+		rowPtr[r+1] += rowPtr[r]
+	}
+	colIdx := make([]int32, nnz)
+	vals := make([]float64, nnz)
+	for _, e := range entries {
+		p := rowPtr[e.Row]
+		rowPtr[e.Row]++
+		colIdx[p], vals[p] = int32(e.Col), e.Val
+		if mirror && e.Row != e.Col {
+			p := rowPtr[e.Col]
+			rowPtr[e.Col]++
+			colIdx[p], vals[p] = int32(e.Row), e.Val
+		}
+	}
+	// rowPtr[r] now ends row r, which is where row r+1 starts.
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
+
+	var scratch []Entry
+	if longest > insertionSortMax {
+		scratch = make([]Entry, longest)
+	}
+	w := int32(0)
+	for r := 0; r < n; r++ {
+		lo, hi := rowPtr[r], rowPtr[r+1]
+		rowPtr[r] = w
+		if hi-lo > 1 {
+			sortRow(colIdx[lo:hi], vals[lo:hi], scratch)
+		}
+		for k := lo; k < hi; {
+			c, v := colIdx[k], vals[k]
+			k++
+			for k < hi && colIdx[k] == c {
+				v += vals[k]
+				k++
+			}
+			if v == 0 {
+				continue
+			}
+			colIdx[w], vals[w] = c, v
+			w++
+		}
+	}
+	rowPtr[n] = w
+	return &CSR{n: n, rowPtr: rowPtr, colIdx: colIdx[:w], vals: vals[:w]}, nil
+}
+
+// insertionSortMax is the longest row sortRow orders by insertion; a
+// longer row (a hub node, or a hostile single-row spec) goes through an
+// O(d log d) stable sort instead.
+const insertionSortMax = 32
+
+// sortRow stably orders one row's parallel (column, value) arrays by
+// column. Rows longer than insertionSortMax are sorted through scratch,
+// which must then be at least as long as the row.
+func sortRow(cols []int32, vals []float64, scratch []Entry) {
+	vals = vals[:len(cols)]
+	if len(cols) <= insertionSortMax {
+		for i := 1; i < len(cols); i++ {
+			c, v := cols[i], vals[i]
+			j := i
+			for ; j > 0 && cols[j-1] > c; j-- {
+				cols[j], vals[j] = cols[j-1], vals[j-1]
+			}
+			cols[j], vals[j] = c, v
+		}
+		return
+	}
+	tmp := scratch[:len(cols)]
+	for i, c := range cols {
+		tmp[i] = Entry{Col: int(c), Val: vals[i]}
+	}
+	slices.SortStableFunc(tmp, func(a, b Entry) int { return cmp.Compare(a.Col, b.Col) })
+	for i, e := range tmp {
+		cols[i], vals[i] = int32(e.Col), e.Val
+	}
 }
 
 // NewCSRFromDense converts a symmetric dense matrix to CSR.

@@ -189,6 +189,28 @@ func TestPRISTransformRankSparseMatchesDense(t *testing.T) {
 	}
 }
 
+// BenchmarkNewCSRSym builds the CSR of a 20k-node cubic graph: a ring
+// plus a random perfect matching, 30k edges mirrored to 60k entries.
+func BenchmarkNewCSRSym(b *testing.B) {
+	const n = 20_000
+	rng := rand.New(rand.NewSource(19))
+	perm := rng.Perm(n)
+	entries := make([]Entry, 0, 3*n/2)
+	for i := 0; i < n; i++ {
+		entries = append(entries, Entry{Row: i, Col: (i + 1) % n, Val: 1})
+	}
+	for i := 0; i < n; i += 2 {
+		entries = append(entries, Entry{Row: perm[i], Col: perm[i+1], Val: 1})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewCSRSym(n, entries); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkCSRApply(b *testing.B) {
 	// A GSET-like sparse operator: 2000 nodes, ~20k edges.
 	rng := rand.New(rand.NewSource(22))

@@ -225,6 +225,106 @@ func TestNewCSRSymMatchesMapBuild(t *testing.T) {
 	}
 }
 
+// buildCSRSorted is the comparison-sort builder buildCSR replaced, kept
+// as its oracle: stable-sort by (row, col), sum adjacent duplicates in
+// input order, drop zero sums.
+func buildCSRSorted(n int, entries []Entry) *CSR {
+	sort.SliceStable(entries, func(i, j int) bool {
+		if entries[i].Row != entries[j].Row {
+			return entries[i].Row < entries[j].Row
+		}
+		return entries[i].Col < entries[j].Col
+	})
+	m := &CSR{n: n, rowPtr: make([]int32, n+1)}
+	for k := 0; k < len(entries); {
+		r, c, v := entries[k].Row, entries[k].Col, entries[k].Val
+		k++
+		for k < len(entries) && entries[k].Row == r && entries[k].Col == c {
+			v += entries[k].Val
+			k++
+		}
+		if v == 0 {
+			continue
+		}
+		m.colIdx = append(m.colIdx, int32(c))
+		m.vals = append(m.vals, v)
+		m.rowPtr[r+1]++
+	}
+	for r := 0; r < n; r++ {
+		m.rowPtr[r+1] += m.rowPtr[r]
+	}
+	return m
+}
+
+// TestBuildCSRMatchesSortBuild pins the counting build, plain and
+// mirrored, against the sort-based oracle bit for bit: random entry
+// lists in shuffled order with duplicates that sum in a
+// rounding-sensitive order and duplicates that cancel to zero, rows on
+// both sides of insertionSortMax, and one reversed 10⁵-entry row (the
+// stable-sort path; insertion sort would be quadratic there). The build
+// must leave its input untouched.
+func TestBuildCSRMatchesSortBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(76))
+	check := func(label string, n int, entries []Entry) {
+		t.Helper()
+		input := slices.Clone(entries)
+		var mirrored []Entry
+		for _, e := range entries {
+			mirrored = append(mirrored, e)
+			if e.Row != e.Col {
+				mirrored = append(mirrored, Entry{Row: e.Col, Col: e.Row, Val: e.Val})
+			}
+		}
+		for _, mirror := range []bool{false, true} {
+			oracle := entries
+			if mirror {
+				oracle = mirrored
+			}
+			want := buildCSRSorted(n, slices.Clone(oracle))
+			got, err := buildCSR(n, input, mirror)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(input, entries) {
+				t.Fatalf("%s: buildCSR modified its input", label)
+			}
+			if !slices.Equal(got.rowPtr, want.rowPtr) || !slices.Equal(got.colIdx, want.colIdx) {
+				t.Fatalf("%s mirror=%v: structure differs from the sort-based build", label, mirror)
+			}
+			requireBitsEqual(t, label, want.vals, got.vals)
+		}
+	}
+	for trial := 0; trial < 30; trial++ {
+		n := 1 + rng.Intn(40)
+		entries := make([]Entry, rng.Intn(50*n))
+		for i := range entries {
+			v := rng.NormFloat64()
+			switch rng.Intn(3) {
+			case 0:
+				v = float64(rng.Intn(5) - 2) // exact sums, some cancel to zero
+			case 1:
+				v *= 1e16 // large magnitudes: the summation order shows in the bits
+			}
+			entries[i] = Entry{Row: rng.Intn(n), Col: rng.Intn(n), Val: v}
+		}
+		for i := range entries {
+			if rng.Intn(4) == 0 { // a cancelling duplicate
+				e := entries[i]
+				e.Val = -e.Val
+				entries = append(entries, e)
+			}
+		}
+		rng.Shuffle(len(entries), func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+		check("random", n, entries)
+	}
+	const d = 100_000
+	row := make([]Entry, d)
+	for i := range row {
+		row[i] = Entry{Row: 3, Col: (d - 1 - i) / 3, Val: rng.NormFloat64() * float64(int64(1)<<(i%4*20))}
+	}
+	check("reversed-row", d, row)
+}
+
 // TestAccumulateFlipBitIdentical checks the adjacency flip patch
 // against the dense AccumulateColumn/AccumulateRow kernels, including
 // the ±1 multiply-free paths and a fractional sign.

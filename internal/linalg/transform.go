@@ -47,7 +47,7 @@ func PRISTransform(k *Matrix, alpha float64) (*Matrix, error) {
 	if alpha < 0 || alpha > 1 {
 		return nil, fmt.Errorf("linalg: PRISTransform alpha %v outside [0,1]", alpha)
 	}
-	values, vectors, err := EigenSym(k)
+	values, vectors, err := eigenRows(k)
 	if err != nil {
 		return nil, err
 	}
@@ -66,27 +66,25 @@ func PRISTransform(k *Matrix, alpha float64) (*Matrix, error) {
 	return scaledOuterSum(vectors, sq), nil
 }
 
-// scaledOuterSum computes V * diag(w) * Vᵀ, skipping zero weights so the
-// cost scales with the number of surviving eigenvalues after dropout.
-func scaledOuterSum(v *Matrix, w []float64) *Matrix {
-	n := v.rows
+// scaledOuterSum computes Σ_e w_e·v_e·v_eᵀ, where v_e is row e of vt
+// (eigenRows' layout), skipping zero weights so the cost scales with the
+// number of surviving eigenvalues after dropout.
+func scaledOuterSum(vt *Matrix, w []float64) *Matrix {
+	n := vt.rows
 	c := NewMatrix(n, n)
-	col := make([]float64, n)
 	for e, we := range w {
 		if we == 0 {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			col[i] = v.At(i, e)
-		}
+		ve := vt.Row(e)
 		for i := 0; i < n; i++ {
 			ci := c.Row(i)
-			vi := col[i] * we
+			vi := ve[i] * we
 			if vi == 0 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				ci[j] += vi * col[j]
+				ci[j] += vi * ve[j]
 			}
 		}
 	}
